@@ -6,7 +6,7 @@ discrete Fourier transform and its inverse, trigonometric interpolation
 identity verification suite.
 """
 
-from .domain import (DomainRange, GridSpec, canonicalize, domain_size,
+from .domain import (GridSpec, canonicalize, domain_size, domain_table,
                      enumerate_domain, grid_points, in_fundamental_domain,
                      is_semidominant, weight_g)
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
@@ -19,7 +19,8 @@ from .interpolation import (InterpolantAlt, InterpolantStd, ParityError,
                             std_interpolate)
 from .quadrature import (BumpParams, bump, continuous_gram_entry,
                          integrate_over_F, interpolation_error)
-from .transform import (CoefficientSet, MissingKeyError, SampleSet,
-                        adft_forward, adft_inverse, discrete_gram)
+from .io import FormatError, MissingKeyError
+from .transform import (CoefficientSet, SampleSet, adft_forward, adft_inverse,
+                        discrete_gram)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .domain import GridSpec, write_grid_csv
 from .interpolation import (ParityError, InterpolantAlt, alt_interpolate_direct,
                             alt_interpolate_remap, eval_psi_alt_tensor)
 from .quadrature import BumpParams, bump, interpolation_error
-from .transform import (MissingKeyError, SampleSet, adft_forward, adft_inverse)
+from .transform import SampleSet, adft_forward, adft_inverse
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -89,8 +89,7 @@ def cmd_grid(args) -> int:
 def cmd_sample(args) -> int:
     g = _grid_from_args(args)
     fn = _builtin_function(args)
-    pts = np.array([g.point(rst) for rst in SampleSet(g).keys()])
-    s = SampleSet.from_array(g, np.asarray(fn(pts), dtype=complex))
+    s = SampleSet.from_array(g, np.asarray(fn(g.points()), dtype=complex))
     with _open_out(args.out) as fh:
         altio.write_samples_csv(s, fh)
     return EXIT_OK
@@ -125,7 +124,7 @@ def cmd_inverse(args) -> int:
         return _io_fail(f"{args.infile}: {exc}")
     try:
         s = adft_inverse(coeffs)
-    except (ValueError, MissingKeyError) as exc:
+    except ValueError as exc:
         return _io_fail(str(exc))
     with _open_out(args.out) as fh:
         altio.write_samples_csv(s, fh)
@@ -209,6 +208,16 @@ def cmd_error_table(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_grid_flags(p, default_b=0.0):
     p.add_argument("--N", type=int, required=True, help="grid density")
     p.add_argument("--a", type=float, default=0.0, help="lattice shift")
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remap", action="store_true",
                    help="go through the forward transform plus index remap")
     p.add_argument("--slice", default=None, help="export a plane cut, e.g. z=0.25")
-    p.add_argument("--res", type=int, default=64, help="slice resolution")
+    p.add_argument("--res", type=_positive_int, default=64, help="slice resolution")
     p.add_argument("--slice-out", default="slice.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_interpolate)

@@ -9,8 +9,11 @@ region of the unit cube cut out by x > z and y > z.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 IndexTriple = tuple  # (k, l, m), ints for lattice use, reals allowed for labels
 Point3 = tuple       # (x, y, z)
@@ -39,16 +42,38 @@ def canonicalize(t: Sequence) -> IndexTriple:
     return hits.pop()
 
 
-@dataclass(frozen=True)
-class DomainRange:
-    """Integer range [n1, n2] over which semidominant triples are enumerated."""
+class DomainTable(NamedTuple):
+    """Read-only arrays describing D(n1, n2) in enumeration order.
 
-    n1: int
-    n2: int
+    ``index`` is the (P, 3) array of semidominant triples, ``weight`` the
+    orbit weights G, and ``rot`` the (P, 3) flat positions, in the cube
+    of side n2 - n1 + 1 offset by n1, of the three label rotations
+    (k, l, m), (m, k, l), (l, m, k) whose plain exponentials sum to E.
+    ``rot[:, 0]`` is strictly increasing.
+    """
 
-    def __post_init__(self):
-        if self.n1 > self.n2 + 1:
-            raise ValueError(f"empty range must satisfy n1 <= n2 + 1, got {self}")
+    index: np.ndarray
+    weight: np.ndarray
+    rot: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def domain_table(n1: int, n2: int) -> DomainTable:
+    """The cached table of all semidominant triples with entries in {n1, ..., n2}."""
+    side = max(n2 - n1 + 1, 0)
+    k, l, m = np.indices((side,) * 3).reshape(3, -1)
+    keep = ((k >= l) & (l >= m)) | ((l > k) & (k > m))
+    k, l, m = k[keep], l[keep], m[keep]
+
+    def flat(i, j, q):
+        return (i * side + j) * side + q
+
+    table = DomainTable(np.stack([k, l, m], axis=1) + n1,
+                        np.where((k == l) & (l == m), 3, 1),
+                        np.stack([flat(k, l, m), flat(m, k, l), flat(l, m, k)], axis=1))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def enumerate_domain(n1: int, n2: int) -> list:
@@ -57,14 +82,19 @@ def enumerate_domain(n1: int, n2: int) -> list:
     Ordered lexicographically ascending on (k, l, m).  For the range
     (0, N-1) the count is N(N^2 + 2)/3.
     """
-    out = []
-    rng = range(n1, n2 + 1)
-    for k in rng:
-        for l in rng:
-            for m in rng:
-                if is_semidominant((k, l, m)):
-                    out.append((k, l, m))
-    return out
+    return list(map(tuple, domain_table(n1, n2).index.tolist()))
+
+
+def domain_positions(n1: int, n2: int, triples) -> np.ndarray:
+    """Enumeration positions of ``triples`` in a non-empty D(n1, n2); -1 where absent."""
+    codes = domain_table(n1, n2).rot[:, 0]
+    side = n2 - n1 + 1
+    # entries outside the range match nothing, and clipping keeps them outside
+    t = np.clip(np.asarray(triples).reshape(-1, 3) - n1, -1, side).astype(np.int64)
+    flat = (t[:, 0] * side + t[:, 1]) * side + t[:, 2]
+    pos = np.minimum(np.searchsorted(codes, flat), len(codes) - 1)
+    found = np.all((t >= 0) & (t < side), axis=1) & (codes[pos] == flat)
+    return np.where(found, pos, -1)
 
 
 def domain_size(n: int) -> int:
@@ -103,6 +133,11 @@ class GridSpec:
     def point_count(self) -> int:
         return domain_size(self.n)
 
+    def points(self) -> np.ndarray:
+        """(P, 3) array of the lattice points in enumeration order."""
+        idx = domain_table(0, self.n - 1).index
+        return self.a + (idx + self.b) * (self.period / self.n)
+
     def point(self, rst: Sequence) -> Point3:
         r, s, t = rst
         h = self.period / self.n
@@ -113,7 +148,7 @@ class GridSpec:
 
 def grid_points(g: GridSpec) -> list:
     """(index, point) pairs of the lattice, in enumeration order."""
-    return [(rst, g.point(rst)) for rst in enumerate_domain(0, g.n - 1)]
+    return list(zip(enumerate_domain(0, g.n - 1), map(tuple, g.points().tolist())))
 
 
 def in_fundamental_domain(p: Sequence) -> bool:

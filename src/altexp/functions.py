@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import rotations
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -117,11 +115,3 @@ def operator_eigenvalue(k: int, t: Sequence) -> float:
     lam, mu, nu = t
     return (-4.0 * math.pi ** 2) ** k * sigma_k(k, lam ** 2, mu ** 2, nu ** 2)
 
-
-def exponent_rotations(t: Sequence) -> list:
-    """Label rotations whose plain exponentials sum to E_t.
-
-    E_{(k,l,m)}(p) = sum over (k', l', m') in rotations(t) of
-    e^{2 pi i (k' x + l' y + m' z)}; duplicates occur iff k = l = m.
-    """
-    return rotations(t)

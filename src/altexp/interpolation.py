@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import GridSpec, canonicalize, domain_size, enumerate_domain, weight_g
-from .functions import eval_E, exponent_rotations
-from .transform import (CoefficientSet, SampleSet, _separable_spectrum,
-                        adft_forward_naive)
+from .domain import GridSpec, canonicalize, domain_positions, domain_table
+from .functions import eval_E
+from .transform import (CoefficientSet, SampleSet, _phase_table, _rotation_sums,
+                        _separable, _separable_spectrum, adft_forward_naive)
 
 
 class ParityError(ValueError):
@@ -62,11 +62,9 @@ class InterpolantAlt:
         canonical coefficient is scattered onto its three label rotations.
         """
         n = 2 * self.m + 1
-        cube = np.zeros((n, n, n), dtype=complex)
-        for t, c in self.coeffs.values.items():
-            for (k, l, mm) in exponent_rotations(t):
-                cube[k + self.m, l + self.m, mm + self.m] += c
-        return cube
+        cube = np.zeros(n ** 3, dtype=complex)
+        np.add.at(cube, self.coeffs.table.rot, self.coeffs.values[:, None])
+        return cube.reshape(n, n, n)
 
     def __call__(self, p):
         return eval_psi_alt(self, p)
@@ -76,19 +74,11 @@ def alt_interpolate_direct(s: SampleSet, naive: bool = False) -> InterpolantAlt:
     """Interpolation coefficients by the defining weighted sums."""
     grid = s.grid
     m = _require_odd(grid.n)
-    keys = enumerate_domain(-m, m)
+    out = domain_table(-m, m)
     if naive:
-        beta = adft_forward_naive(s, out_keys=keys)
-        vals = beta.values
+        vals = adft_forward_naive(s, out).values
     else:
-        freqs = np.arange(-m, m + 1)
-        spec = _separable_spectrum(s, freqs)
-        n3 = grid.n ** 3
-        vals = {}
-        for t in keys:
-            acc = sum(spec[k + m, l + m, mm + m]
-                      for (k, l, mm) in exponent_rotations(t))
-            vals[t] = complex(acc / (weight_g(t) * n3))
+        vals = _rotation_sums(_separable_spectrum(s, np.arange(-m, m + 1)), out, grid.n)
     coeffs = CoefficientSet(grid, "c_alt", vals, m=m)
     return InterpolantAlt(m, coeffs, period=grid.period)
 
@@ -118,10 +108,10 @@ def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
         raise ValueError(f"remap needs role 'beta', got {c.role!r}")
     if c.grid.n != 2 * m + 1:
         raise ValueError(f"grid density {c.grid.n} does not match N=2M+1={2 * m + 1}")
-    vals = {}
-    for t in enumerate_domain(-m, m):
-        vals[t] = _remap_phase(t, c.grid) * c.values[remap_index(t, m)]
-    return CoefficientSet(c.grid, "c_alt", vals, m=m)
+    keys = domain_table(-m, m).index.tolist()
+    src = domain_positions(0, 2 * m, [remap_index(t, m) for t in keys])
+    vals = [_remap_phase(t, c.grid) * v for t, v in zip(keys, c.values[src].tolist())]
+    return CoefficientSet(c.grid, "c_alt", np.array(vals), m=m)
 
 
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
@@ -136,7 +126,7 @@ def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p."""
     p = np.asarray(p, dtype=float) / i.period
     acc = np.zeros(p.shape[:-1], dtype=complex)
-    for t, c in i.coeffs.values.items():
+    for t, c in zip(i.coeffs.table.index.tolist(), i.coeffs.values.tolist()):
         acc = acc + c * np.asarray(eval_E(t, p))
     if acc.ndim == 0:
         return complex(acc)
@@ -149,16 +139,12 @@ def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     Returns an array of shape (len(xs), len(ys), len(zs)); identical to
     pointwise evaluation but O((2M+1) n^3) instead of O(|coeffs| n^3).
     """
-    cube = i.dense_exponents()
     freqs = np.arange(-i.m, i.m + 1)
-
-    def table(coords):
-        return np.exp(2j * np.pi * np.outer(np.asarray(coords) / i.period, freqs))
-
-    out = np.tensordot(cube, table(zs), axes=([2], [1]))      # k, l, z
-    out = np.tensordot(out, table(ys), axes=([1], [1]))       # k, z, y
-    out = np.tensordot(out, table(xs), axes=([0], [1]))       # z, y, x
-    return out.transpose(2, 1, 0)
+    tx, ty, tz = (_phase_table(freqs, np.asarray(c) / i.period, sign=1).T
+                  for c in (xs, ys, zs))
+    # Contract z first, then y, then x: another order changes the last
+    # digits of the error-table outputs.
+    return _separable(i.dense_exponents().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
 
 
 @dataclass
@@ -190,12 +176,8 @@ def std_interpolate(grid: GridSpec, samples) -> InterpolantStd:
     f = np.asarray(samples, dtype=complex)
     if f.shape != (grid.n,) * 3:
         raise ValueError(f"expected samples of shape {(grid.n,) * 3}, got {f.shape}")
-    coords = std_grid_points(grid) / grid.period
-    table = np.exp(-2j * np.pi * np.outer(np.arange(-m, m + 1), coords))
-    out = np.tensordot(table, f, axes=([1], [0]))             # k, s, t
-    out = np.tensordot(table, out, axes=([1], [1]))           # l, k, t
-    out = np.tensordot(table, out, axes=([1], [2]))           # m, l, k
-    return InterpolantStd(m, out.transpose(2, 1, 0) / grid.n ** 3, grid,
+    table = _phase_table(np.arange(-m, m + 1), std_grid_points(grid) / grid.period)
+    return InterpolantStd(m, _separable(f, table, table, table) / grid.n ** 3, grid,
                           period=grid.period)
 
 

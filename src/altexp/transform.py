@@ -16,171 +16,138 @@ roundoff and the optimized one is used by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GridSpec, enumerate_domain, weight_g
-from .functions import eval_E, exponent_rotations
-
-
-class MissingKeyError(KeyError):
-    """A sample or coefficient set lacks a required index triple."""
+from .domain import DomainTable, GridSpec, domain_table
+from .functions import eval_E
 
 
 @dataclass
 class SampleSet:
-    """Complex samples keyed by grid index triples over D(0, N-1)."""
+    """Complex samples on the lattice, in the enumeration order of D(0, N-1)."""
 
     grid: GridSpec
-    values: Dict[tuple, complex] = field(default_factory=dict)
+    values: np.ndarray
 
-    def keys(self):
-        return enumerate_domain(0, self.grid.n - 1)
+    @property
+    def table(self) -> DomainTable:
+        return domain_table(0, self.grid.n - 1)
 
     def as_array(self) -> np.ndarray:
-        """Values in enumeration order; raises if any key is absent."""
-        out = np.empty(self.grid.point_count, dtype=complex)
-        for i, key in enumerate(self.keys()):
-            try:
-                out[i] = self.values[key]
-            except KeyError:
-                raise MissingKeyError(f"sample set is missing grid triple {key}") from None
-        return out
+        return self.values
 
     @classmethod
     def from_array(cls, grid: GridSpec, arr) -> "SampleSet":
-        keys = enumerate_domain(0, grid.n - 1)
-        if len(arr) != len(keys):
-            raise ValueError(f"expected {len(keys)} samples for N={grid.n}, got {len(arr)}")
-        return cls(grid, dict(zip(keys, (complex(v) for v in arr))))
+        arr = np.array(arr, dtype=complex)
+        if arr.shape != (grid.point_count,):
+            raise ValueError(f"expected {grid.point_count} samples for N={grid.n}, "
+                             f"got shape {arr.shape}")
+        return cls(grid, arr)
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "SampleSet":
-        return cls(grid, {rst: complex(fn(grid.point(rst)))
-                          for rst in enumerate_domain(0, grid.n - 1)})
+        return cls(grid, np.array([complex(fn(tuple(p)))
+                                   for p in grid.points().tolist()], dtype=complex))
 
 
 @dataclass
 class CoefficientSet:
-    """Transform coefficients keyed by semidominant triples.
+    """Transform coefficients in the enumeration order of their index range.
 
-    role "beta": keys over D(0, N-1) (forward-transform output);
-    role "c_alt": keys over D(-M, M) with N = 2M+1 (interpolation);
-    role "c_std": dense cube of standard trigonometric coefficients.
+    role "beta": D(0, N-1) (forward-transform output);
+    role "c_alt": D(-M, M) with N = 2M+1 (interpolation).
     """
 
     grid: GridSpec
     role: str
-    values: Dict[tuple, complex] = field(default_factory=dict)
+    values: np.ndarray
     m: int | None = None
 
-    def keys(self):
+    @property
+    def table(self) -> DomainTable:
         if self.role == "beta":
-            return enumerate_domain(0, self.grid.n - 1)
+            return domain_table(0, self.grid.n - 1)
         if self.role == "c_alt":
-            return enumerate_domain(-self.m, self.m)
+            return domain_table(-self.m, self.m)
         raise ValueError(f"no canonical key order for role {self.role!r}")
 
     def as_array(self) -> np.ndarray:
-        keys = self.keys()
-        out = np.empty(len(keys), dtype=complex)
-        for i, key in enumerate(keys):
-            try:
-                out[i] = self.values[key]
-            except KeyError:
-                raise MissingKeyError(f"coefficient set is missing triple {key}") from None
-        return out
+        return self.values
 
 
-def _grid_index_arrays(n: int):
-    idx = np.array(enumerate_domain(0, n - 1), dtype=int)
-    ginv = np.array([1.0 / weight_g(t) for t in map(tuple, idx)])
-    return idx, ginv
-
-
-def _grid_coords(grid: GridSpec) -> np.ndarray:
+def _unit_coords(grid: GridSpec, idx) -> np.ndarray:
     # Transforms work in unit-period pullback coordinates p / T, where
     # orthogonality on the lattice holds for any T.
-    idx, _ = _grid_index_arrays(grid.n)
     return (grid.a / grid.period) + (idx + grid.b) / grid.n
 
 
-def adft_forward_naive(s: SampleSet, out_keys=None) -> CoefficientSet:
-    """Direct summation of the defining transform; O(P^2) in point count."""
+def adft_forward_naive(s: SampleSet, out: DomainTable | None = None) -> CoefficientSet:
+    """Direct summation of the defining transform; O(P^2) in point count.
+
+    ``out`` selects the output index range (default D(0, N-1)).
+    """
     grid = s.grid
-    f = s.as_array()
-    pts = _grid_coords(grid)
-    _, ginv = _grid_index_arrays(grid.n)
-    wf = ginv * f
-    keys = out_keys if out_keys is not None else enumerate_domain(0, grid.n - 1)
-    n3 = grid.n ** 3
-    vals = {}
-    for t in keys:
-        e = eval_E(t, pts)
-        vals[t] = complex(np.sum(wf * np.conj(e)) / (weight_g(t) * n3))
-    return CoefficientSet(grid, "beta", vals)
+    pts = _unit_coords(grid, s.table.index)
+    wf = (1.0 / s.table.weight) * s.values
+    out = s.table if out is None else out
+    sums = np.array([np.sum(wf * np.conj(eval_E(t, pts)))
+                     for t in out.index.tolist()], dtype=complex)
+    return CoefficientSet(grid, "beta", sums / (out.weight * grid.n ** 3))
 
 
-def _dense_weighted_samples(s: SampleSet) -> np.ndarray:
-    """Scatter G^{-1} f onto the full N^3 cube (zeros off the domain)."""
-    grid = s.grid
-    f = s.as_array()
-    idx, ginv = _grid_index_arrays(grid.n)
-    cube = np.zeros((grid.n, grid.n, grid.n), dtype=complex)
-    cube[idx[:, 0], idx[:, 1], idx[:, 2]] = ginv * f
-    return cube
+def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
+    """Table[k, r] = e^{sign 2 pi i k x_r}."""
+    return np.exp(sign * 2j * np.pi * np.outer(freqs, coords))
 
-def _phase_table(grid: GridSpec, freqs: np.ndarray) -> np.ndarray:
-    """Table[k, r] = e^{-2 pi i k x_r} over the full 1D lattice r = 0..N-1."""
-    r = np.arange(grid.n)
-    coords = (grid.a / grid.period) + (r + grid.b) / grid.n
-    return np.exp(-2j * np.pi * np.outer(freqs, coords))
+
+def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
+    """out[a, b, c] = sum_{ijk} tx[a, i] ty[b, j] tz[c, k] cube[i, j, k].
+
+    Axis-by-axis contraction; cost O(A I J K) per axis instead of
+    O(ABC IJK) for the direct triple sum.
+    """
+    out = np.tensordot(tx, cube, axes=([1], [0]))             # a, j, k
+    out = np.tensordot(ty, out, axes=([1], [1]))              # b, a, k
+    out = np.tensordot(tz, out, axes=([1], [2]))              # c, b, a
+    return out.transpose(2, 1, 0)
 
 
 def _separable_spectrum(s: SampleSet, freqs: np.ndarray) -> np.ndarray:
-    """F[k,l,m] = sum_{rst} G^{-1} f e^{-2 pi i (k x_r + l y_s + m z_t)}.
+    """F[k,l,m] = sum_{rst} G^{-1} f e^{-2 pi i (k x_r + l y_s + m z_t)}."""
+    n = s.grid.n
+    cube = np.zeros(n ** 3, dtype=complex)                    # zeros off the domain
+    cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
+    table = _phase_table(freqs, _unit_coords(s.grid, np.arange(n)))
+    return _separable(cube.reshape(n, n, n), table, table, table)
 
-    Axis-by-axis contraction against the 1D phase table; cost O(K N^3)
-    per axis instead of O(K^3 N^3) for the direct triple sum.
-    """
-    cube = _dense_weighted_samples(s)
-    table = _phase_table(s.grid, freqs)
-    out = np.tensordot(table, cube, axes=([1], [0]))          # k, s, t
-    out = np.tensordot(table, out, axes=([1], [1]))           # l, k, t
-    out = np.tensordot(table, out, axes=([1], [2]))           # m, l, k
-    return out.transpose(2, 1, 0)                             # k, l, m
+
+def _rotation_sums(spec: np.ndarray, out: DomainTable, n: int) -> np.ndarray:
+    """Coefficients over ``out``: the spectrum summed over each triple's
+    three label rotations, in rotation order, divided by G N^3."""
+    terms = spec.ravel()[out.rot]
+    return (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.weight * n ** 3)
 
 
 def adft_forward(s: SampleSet, naive: bool = False) -> CoefficientSet:
     """Alternating discrete Fourier transform of a complete sample set."""
     if naive:
         return adft_forward_naive(s)
-    grid = s.grid
-    n = grid.n
-    freqs = np.arange(n)
-    spec = _separable_spectrum(s, freqs)
-    n3 = n ** 3
-    vals = {}
-    for t in enumerate_domain(0, n - 1):
-        acc = sum(spec[r] for r in map(tuple, exponent_rotations(t)))
-        vals[t] = complex(acc / (weight_g(t) * n3))
-    return CoefficientSet(grid, "beta", vals)
+    n = s.grid.n
+    spec = _separable_spectrum(s, np.arange(n))
+    return CoefficientSet(s.grid, "beta", _rotation_sums(spec, s.table, n))
 
 
 def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    grid = c.grid
-    beta = c.as_array()
-    pts = _grid_coords(grid)
-    keys = enumerate_domain(0, grid.n - 1)
+    pts = _unit_coords(c.grid, c.table.index)
     f = np.zeros(len(pts), dtype=complex)
-    for b, t in zip(beta, keys):
+    for b, t in zip(c.values, c.table.index.tolist()):
         f += b * eval_E(t, pts)
-    return SampleSet.from_array(grid, f)
+    return SampleSet.from_array(c.grid, f)
 
 
 def discrete_gram(g: GridSpec) -> np.ndarray:
@@ -189,8 +156,7 @@ def discrete_gram(g: GridSpec) -> np.ndarray:
     Entry (i, j) = sum over grid of G_{rst}^{-1} E_i conj(E_j); equals
     diag(G_{klm} N^3) exactly for any lattice shift (a, b).
     """
-    keys = enumerate_domain(0, g.n - 1)
-    pts = _grid_coords(g)
-    _, ginv = _grid_index_arrays(g.n)
-    basis = np.stack([eval_E(t, pts) for t in keys])          # key x point
-    return (basis * ginv) @ np.conj(basis.T)
+    table = domain_table(0, g.n - 1)
+    pts = _unit_coords(g, table.index)
+    basis = np.stack([eval_E(t, pts) for t in table.index.tolist()])  # key x point
+    return (basis * (1.0 / table.weight)) @ np.conj(basis.T)

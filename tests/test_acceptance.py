@@ -95,8 +95,9 @@ def test_criterion_4_interpolation():
         worst_grid = max(worst_grid,
                          float(np.abs(eval_psi_alt(direct, pts) - f).max()))
         worst_remap = max(worst_remap,
-                          max(abs(direct.coeffs.values[k] - remapped.coeffs.values[k])
-                              for k in direct.coeffs.values))
+                          max(abs(d - r) for d, r in zip(direct.coeffs.values,
+                                                         remapped.coeffs.values,
+                                                         strict=True)))
     counts_ok = all(
         alt_coefficient_count(m) == (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
         and alt_coefficient_count(m) == len(enumerate_domain(-m, m))

@@ -5,6 +5,7 @@ from altexp.c3 import (ORBIT_TABLE, eval_EW, eval_EW_expanded,
                        even_weyl_group, generate_tilde_we, reflection_orbit,
                        scalar_product, symmetrization_residual, we_orbit)
 from altexp.functions import eval_E
+from altexp.verify import orbit_mismatch, run_suite
 
 
 def test_orbit_table_shape_and_first_rows():
@@ -91,3 +92,20 @@ def test_symmetrization_term_count_consistency():
     t = (0.9, 0.1, -0.5)
     total = sum(eval_E(t, g @ np.zeros(3)) for g in generate_tilde_we())
     assert total == pytest.approx(24.0)
+
+
+@pytest.mark.parametrize("seed", [36, 93, 108, 136])
+def test_c3_suite_passes_where_orbit_weights_round_differently(seed):
+    # these seeds put an orbit weight on a 10-digit rounding boundary
+    assert all(r.passed for r in run_suite("c3", seed=seed))
+
+
+def test_orbit_mismatch_rejects_a_moved_point():
+    v = np.random.default_rng(62).normal(size=3)
+    generated = reflection_orbit(v)
+    orbit = we_orbit(v)
+    assert orbit_mismatch(orbit, generated) < 1e-10
+    x, y, z = orbit[5]
+    moved = orbit[:5] + [(x, y + 1e-6, z)] + orbit[6:]
+    assert orbit_mismatch(moved, generated) >= 1e-10
+    assert orbit_mismatch(orbit[1:], generated) >= 1e-10

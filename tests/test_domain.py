@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from altexp.domain import (GridSpec, canonicalize, domain_size,
-                           enumerate_domain, grid_points,
+from altexp.domain import (GridSpec, canonicalize, domain_positions,
+                           domain_size, domain_table, enumerate_domain,
+                           grid_points,
                            in_fundamental_domain, is_semidominant, rotations,
                            weight_g, write_grid_csv)
 from altexp.functions import eval_E
@@ -118,3 +119,27 @@ def test_grid_csv_format():
     assert len(lines) == 12
     assert lines[1] == "0,0,0,0,0,0"
     assert lines[2].startswith("1,0,0,0.33333333333333331,")
+
+
+def test_domain_table_matches_enumeration_and_is_read_only():
+    table = domain_table(-2, 2)
+    keys = enumerate_domain(-2, 2)
+    assert [tuple(t) for t in table.index.tolist()] == keys
+    assert table.weight.tolist() == [weight_g(t) for t in keys]
+    side = 5
+    for t, row in zip(keys, table.rot.tolist()):
+        flat = [((k + 2) * side + (l + 2)) * side + (m + 2)
+                for k, l, m in rotations(t)]
+        assert row == flat
+    assert domain_table(-2, 2) is table
+    for arr in table:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_domain_positions():
+    keys = enumerate_domain(0, 3)
+    assert domain_positions(0, 3, keys).tolist() == list(range(len(keys)))
+    assert domain_positions(0, 3, [(0, 1, 0), (4, 0, 0), (-1, 0, 0),
+                                   (3, 2, 1)]).tolist() == [-1, -1, -1,
+                                                             keys.index((3, 2, 1))]

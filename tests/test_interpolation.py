@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, domain_size, enumerate_domain
+from altexp.domain import GridSpec, domain_size, enumerate_domain, rotations
 from altexp.functions import eval_E
 from altexp.interpolation import (InterpolantAlt, ParityError,
                                   alt_coefficient_count,
@@ -38,6 +38,16 @@ def random_samples(grid, seed=0):
     return SampleSet.from_array(grid, f)
 
 
+def dense_exponents_loop(interp):
+    """Per-key oracle: each coefficient added onto its three label rotations."""
+    m = interp.m
+    cube = np.zeros((2 * m + 1,) * 3, dtype=complex)
+    for t, c in zip(enumerate_domain(-m, m), interp.coeffs.values):
+        for k, l, mm in rotations(t):
+            cube[k + m, l + m, mm + m] += c
+    return cube
+
+
 def grid_point_array(grid):
     return np.array([grid.point(rst) for rst in enumerate_domain(0, grid.n - 1)])
 
@@ -45,8 +55,9 @@ def grid_point_array(grid):
 def test_constant_interpolates_to_third():
     g = GridSpec(0, 0.5, 3)
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: 1.0))
-    assert interp.coeffs.values[(0, 0, 0)] == pytest.approx(1 / 3, abs=1e-13)
-    others = [v for k, v in interp.coeffs.values.items() if k != (0, 0, 0)]
+    i = enumerate_domain(-1, 1).index((0, 0, 0))
+    assert interp.coeffs.values[i] == pytest.approx(1 / 3, abs=1e-13)
+    others = np.delete(interp.coeffs.values, i)
     assert max(abs(v) for v in others) < 1e-13
     assert eval_psi_alt(interp, (0.123, 0.456, 0.789)) == pytest.approx(1.0, abs=1e-12)
 
@@ -56,7 +67,7 @@ def test_basis_function_gives_delta_coefficients():
     t0 = (1, 2, -1)
     assert t0 in enumerate_domain(-2, 2)
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: eval_E(t0, p)))
-    for k, v in interp.coeffs.values.items():
+    for k, v in zip(enumerate_domain(-2, 2), interp.coeffs.values):
         assert v == pytest.approx(1.0 if k == t0 else 0.0, abs=1e-11)
 
 
@@ -90,8 +101,10 @@ def test_remap_equals_direct(n):
     s = random_samples(g, seed=40 + n)
     direct = alt_interpolate_direct(s).coeffs
     remapped = alt_interpolate_remap(s).coeffs
-    for k in direct.values:
-        assert abs(direct.values[k] - remapped.values[k]) < 1e-12
+    for d, r in zip(direct.values, remapped.values, strict=True):
+        assert abs(d - r) < 1e-12
+    naive = alt_interpolate_direct(s, naive=True).coeffs
+    assert np.abs(direct.values - naive.values).max() < 1e-12
 
 
 def test_remap_index_matches_literal_table():
@@ -125,7 +138,7 @@ def test_eval_psi_zero_and_delta():
     g = GridSpec(0, 0, 3)
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: 0.0))
     assert eval_psi_alt(interp, (0.3, 0.7, 0.1)) == 0
-    interp.coeffs.values[(0, 0, 0)] = 0.5
+    interp.coeffs.values[enumerate_domain(-1, 1).index((0, 0, 0))] = 0.5
     assert eval_psi_alt(interp, (0.9, -0.2, 0.4)) == pytest.approx(1.5, abs=1e-13)
 
 
@@ -140,12 +153,13 @@ def test_psi_inherits_cyclic_symmetry():
 
 
 def test_tensor_eval_matches_pointwise():
-    g = GridSpec(0, 0.5, 5)
-    interp = alt_interpolate_direct(random_samples(g, seed=52))
     xs, ys, zs = np.linspace(0, 1, 4), np.linspace(0, 1, 3), np.linspace(0, 1, 5)
-    tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
     grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
-    assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
+    for g in (GridSpec(0, 0.5, 5), GridSpec(0.31, 0.37, 3), GridSpec(-0.6, 0.83, 7)):
+        interp = alt_interpolate_direct(random_samples(g, seed=52))
+        assert np.array_equal(interp.dense_exponents(), dense_exponents_loop(interp))
+        tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
+        assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
 
 
 def test_std_interpolation_constant_and_basis():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from altexp.cli import main
-from altexp.domain import GridSpec, domain_size
+from altexp.domain import GridSpec, domain_size, enumerate_domain
 from altexp.functions import eval_E
-from altexp.io import (FormatError, read_coefficients_json, read_samples_csv,
-                       write_coefficients_json, write_samples_csv)
+from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
+                       read_samples_csv, write_coefficients_json,
+                       write_samples_csv)
 from altexp.transform import SampleSet, adft_forward
 
 
@@ -86,7 +87,7 @@ def test_cli_sample_const_and_E(tmp_path):
     g = GridSpec(0, 0, 3)
     with open(out) as fh:
         s = read_samples_csv(g, fh)
-    for rst, v in s.values.items():
+    for rst, v in zip(enumerate_domain(0, 2), s.values, strict=True):
         assert v == pytest.approx(eval_E((1, 1, 0), g.point(rst)), abs=1e-15)
 
 
@@ -202,3 +203,80 @@ def test_cli_outputs_byte_identical(tmp_path):
     for out in (a, b):
         run(["sample", "--f", "bump", "--N", 5, "--b", 0.5, "--out", out])
     assert a.read_bytes() == b.read_bytes()
+
+
+def beta_json_obj(tmp_path):
+    s_csv, b_json = tmp_path / "s.csv", tmp_path / "b.json"
+    run(["sample", "--f", "bump", "--N", 3, "--a", 0.31, "--b", 0.37, "--out", s_csv])
+    run(["transform", "--in", s_csv, "--N", 3, "--a", 0.31, "--b", 0.37,
+         "--out", b_json])
+    return json.loads(b_json.read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 4.0), ("N", True), ("N", 0), ("M", "1"), ("a", "0.31"), ("b", None),
+    ("T", float("nan")), ("k", 1.0), ("re", "0"), ("im", float("inf"))])
+def test_cli_inverse_rejects_malformed_field(tmp_path, capsys, field, value):
+    obj = beta_json_obj(tmp_path)
+    if field in ("k", "re", "im"):
+        obj["coeffs"][2][field] = value
+    else:
+        obj[field] = value
+    bad, out = tmp_path / "bad.json", tmp_path / "back.csv"
+    bad.write_text(json.dumps(obj))
+    assert run(["inverse", "--in", bad, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_coefficients_json_names_missing_triple():
+    obj = {"N": 2, "M": None, "a": 0.0, "b": 0.0, "T": 1.0, "role": "beta",
+           "coeffs": [{"k": k, "l": l, "m": m, "re": 1.0, "im": 0.0}
+                      for k, l, m in [(0, 0, 0), (1, 1, 0), (1, 1, 1)]]}
+    with pytest.raises(MissingKeyError, match=r"\(1, 0, 0\)"):
+        read_coefficients_json(io.StringIO(json.dumps(obj)))
+
+
+def sample_lines(tmp_path):
+    s_csv = tmp_path / "s.csv"
+    run(["sample", "--f", "const:1", "--N", 3, "--out", s_csv])
+    return s_csv, s_csv.read_text().splitlines()
+
+
+def test_cli_transform_rejects_duplicate_row(tmp_path, capsys):
+    s_csv, lines = sample_lines(tmp_path)
+    s_csv.write_text("\n".join(lines + [lines[3]]) + "\n")
+    out = tmp_path / "b.json"
+    assert run(["transform", "--in", s_csv, "--N", 3, "--out", out]) == 3
+    assert "line 4 and line 13" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_transform_rejects_non_finite_sample(tmp_path, capsys):
+    s_csv, lines = sample_lines(tmp_path)
+    r, s, t, _, _ = lines[4].split(",")
+    lines[4] = f"{r},{s},{t},nan,0"
+    s_csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "b.json"
+    assert run(["transform", "--in", s_csv, "--N", 3, "--out", out]) == 3
+    assert "line 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_interpolate_rejects_nonpositive_res(tmp_path, capsys):
+    s_csv, _ = sample_lines(tmp_path)
+    out, slc = tmp_path / "i.json", tmp_path / "slice.csv"
+    for res in (0, -1):
+        with pytest.raises(SystemExit) as exc:
+            run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                 "--slice", "z=0.25", "--res", res, "--slice-out", slc])
+        assert exc.value.code == 2
+        assert "--res" in capsys.readouterr().err
+    assert not out.exists() and not slc.exists()
+
+
+def test_cli_verify_identities_report(tmp_path):
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "identities", "--seed", 3, "--out", rpt]) == 0
+    assert all(c["pass"] is True for c in json.loads(rpt.read_text())["checks"])
