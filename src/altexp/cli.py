@@ -33,9 +33,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Table-row targets for the long-running densities, refused without --long.
-LONG_ONLY_N = (61, 121)
-
 
 class UsageError(Exception):
     pass
@@ -67,6 +64,17 @@ def _builtin_function(args):
     raise UsageError(f"unknown sample function {spec!r}; use const:<v>, E:k,l,m or bump")
 
 
+def _sample_lattice(g: GridSpec, fn) -> SampleSet:
+    """Samples of the vectorized ``fn`` at the lattice points, all finite."""
+    s = SampleSet.from_array(g, np.asarray(fn(g.points()), dtype=complex))
+    bad = np.flatnonzero(~np.isfinite(s.values))
+    if bad.size:
+        rst = tuple(s.table.index[bad[0]].tolist())
+        raise UsageError(f"sample function is not finite at lattice point {rst}: "
+                         f"{s.values[bad[0]]}")
+    return s
+
+
 def _open_out(path):
     try:
         return open(path, "w")
@@ -87,9 +95,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g = _grid_from_args(args)
-    fn = _builtin_function(args)
-    s = SampleSet.from_array(g, np.asarray(fn(g.points()), dtype=complex))
+    s = _sample_lattice(_grid_from_args(args), _builtin_function(args))
     with _open_out(args.out) as fh:
         altio.write_samples_csv(s, fh)
     return EXIT_OK
@@ -131,12 +137,6 @@ def cmd_inverse(args) -> int:
     return EXIT_OK
 
 
-def _parse_slice(spec: str) -> float:
-    if not spec.startswith("z="):
-        raise UsageError(f"only z=<value> slices are supported, got {spec!r}")
-    return float(spec[2:])
-
-
 def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
     """R x R cut of the interpolant on the plane of constant z.
 
@@ -163,9 +163,8 @@ def cmd_interpolate(args) -> int:
     with _open_out(args.out) as fh:
         altio.write_coefficients_json(interp.coeffs, fh)
     if args.slice is not None:
-        z = _parse_slice(args.slice)
         with _open_out(args.slice_out) as fh:
-            _write_slice_csv(interp, z, args.res, fh)
+            _write_slice_csv(interp, args.slice, args.res, fh)
     return EXIT_OK
 
 
@@ -184,19 +183,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_error_table(args) -> int:
-    refused = [n for n in args.N if n in LONG_ONLY_N and not args.long]
-    if refused:
-        print(f"error: N={refused} needs --long (runtime grows with "
-              "coefficient count times quadrature nodes)", file=sys.stderr)
-        return EXIT_USAGE
     center = tuple(float(c) for c in args.center.split(","))
     params = BumpParams(args.alpha, args.beta, center)
     f = lambda pts: bump(params, pts)
     rows = []
     for n in args.N:
         g = GridSpec(args.a, args.b, n)
-        s = SampleSet.from_function(g, lambda p: complex(f(np.asarray(p))))
-        interp = alt_interpolate_direct(s)
+        interp = alt_interpolate_direct(_sample_lattice(g, f))
         quad_n = args.quad_n if args.quad_n else (256 if n >= 31 else 128)
         rows.append((n, interpolation_error(f, interp, quad_n)))
     out = _open_out(args.out) if args.out else sys.stdout
@@ -216,6 +209,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _z_slice(text: str) -> float:
+    try:
+        z = float(text[2:]) if text.startswith("z=") else np.inf
+    except ValueError:
+        z = np.inf
+    if not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected z=<finite number>, got {text!r}")
+    return z
 
 
 def _add_grid_flags(p, default_b=0.0):
@@ -266,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.add_argument("--remap", action="store_true",
                    help="go through the forward transform plus index remap")
-    p.add_argument("--slice", default=None, help="export a plane cut, e.g. z=0.25")
+    p.add_argument("--slice", type=_z_slice, default=None,
+                   help="export a plane cut, e.g. z=0.25")
     p.add_argument("--res", type=_positive_int, default=64, help="slice resolution")
     p.add_argument("--slice-out", default="slice.csv")
     p.add_argument("--out", required=True)
@@ -292,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default="0.75,0.75,0.25")
     p.add_argument("--quad-n", type=int, default=None,
                    help="quadrature subdivisions per axis")
-    p.add_argument("--long", action="store_true",
-                   help="allow the N=61 and N=121 rows")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_error_table)
 

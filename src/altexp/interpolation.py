@@ -12,7 +12,8 @@ be obtained by remapping forward-transform output (index shifts by N
 plus a lattice-dependent phase); both paths are kept as mutual oracles.
 
 The standard (non-alternating) interpolant on the full cubic N^3 grid is
-included as a baseline.
+included as a baseline.  Both interpolants evaluate through the dense
+exponent cube and the contractions of ``transform``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .domain import GridSpec, canonicalize, domain_positions, domain_table
-from .functions import eval_E
-from .transform import (CoefficientSet, SampleSet, _phase_table, _rotation_sums,
-                        _separable, _separable_spectrum, adft_forward_naive)
+from .transform import (CoefficientSet, SampleSet, _dense_cube, _expand_points,
+                        _expand_tensor, _phase_table, _rotation_sums, _separable,
+                        _separable_spectrum, adft_forward)
 
 
 class ParityError(ValueError):
@@ -56,29 +57,19 @@ class InterpolantAlt:
         return self.coeffs.grid
 
     def dense_exponents(self) -> np.ndarray:
-        """Coefficients of plain exponentials e^{2 pi i (kx+ly+mz)}.
-
-        A (2M+1)^3 cube indexed k, l, m in [-M, M] (offset by +M); each
-        canonical coefficient is scattered onto its three label rotations.
-        """
-        n = 2 * self.m + 1
-        cube = np.zeros(n ** 3, dtype=complex)
-        np.add.at(cube, self.coeffs.table.rot, self.coeffs.values[:, None])
-        return cube.reshape(n, n, n)
+        """Coefficients of e^{2 pi i (kx+ly+mz)}, indexed k+M, l+M, m+M."""
+        return _dense_cube(self.coeffs.table, self.coeffs.values, 2 * self.m + 1)
 
     def __call__(self, p):
         return eval_psi_alt(self, p)
 
 
-def alt_interpolate_direct(s: SampleSet, naive: bool = False) -> InterpolantAlt:
+def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     """Interpolation coefficients by the defining weighted sums."""
     grid = s.grid
     m = _require_odd(grid.n)
-    out = domain_table(-m, m)
-    if naive:
-        vals = adft_forward_naive(s, out).values
-    else:
-        vals = _rotation_sums(_separable_spectrum(s, np.arange(-m, m + 1)), out, grid.n)
+    spec = _separable_spectrum(s, np.arange(-m, m + 1))
+    vals = _rotation_sums(spec, domain_table(-m, m), grid.n)
     coeffs = CoefficientSet(grid, "c_alt", vals, m=m)
     return InterpolantAlt(m, coeffs, period=grid.period)
 
@@ -116,7 +107,6 @@ def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
 
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
     """Interpolant via forward transform plus index remap."""
-    from .transform import adft_forward
     m = _require_odd(s.grid.n)
     coeffs = remap_beta_to_c(adft_forward(s), m)
     return InterpolantAlt(m, coeffs, period=s.grid.period)
@@ -125,26 +115,14 @@ def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p."""
     p = np.asarray(p, dtype=float) / i.period
-    acc = np.zeros(p.shape[:-1], dtype=complex)
-    for t, c in zip(i.coeffs.table.index.tolist(), i.coeffs.values.tolist()):
-        acc = acc + c * np.asarray(eval_E(t, p))
-    if acc.ndim == 0:
-        return complex(acc)
-    return acc
+    return _expand_points(i.dense_exponents(), np.arange(-i.m, i.m + 1), p)
 
 
 def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
-    """Evaluate on the tensor grid xs x ys x zs by separable contraction.
-
-    Returns an array of shape (len(xs), len(ys), len(zs)); identical to
-    pointwise evaluation but O((2M+1) n^3) instead of O(|coeffs| n^3).
-    """
-    freqs = np.arange(-i.m, i.m + 1)
-    tx, ty, tz = (_phase_table(freqs, np.asarray(c) / i.period, sign=1).T
-                  for c in (xs, ys, zs))
-    # Contract z first, then y, then x: another order changes the last
-    # digits of the error-table outputs.
-    return _separable(i.dense_exponents().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
+    """Evaluate on the tensor grid xs x ys x zs: shape (len(xs), len(ys), len(zs)),
+    in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation."""
+    xs, ys, zs = (np.asarray(c) / i.period for c in (xs, ys, zs))
+    return _expand_tensor(i.dense_exponents(), np.arange(-i.m, i.m + 1), xs, ys, zs)
 
 
 @dataclass
@@ -182,15 +160,9 @@ def std_interpolate(grid: GridSpec, samples) -> InterpolantStd:
 
 
 def eval_psi_std(i: InterpolantStd, p) -> complex:
+    """Evaluate the standard interpolant at point(s) p."""
     p = np.asarray(p, dtype=float) / i.period
-    freqs = np.arange(-i.m, i.m + 1)
-    ex = np.exp(2j * np.pi * p[..., None] * freqs)            # ..., axis, k
-    acc = np.tensordot(ex[..., 0, :], i.coeffs, axes=([-1], [0]))
-    acc = np.einsum("...l,...lm->...m", ex[..., 1, :], acc)
-    acc = np.einsum("...m,...m->...", ex[..., 2, :], acc)
-    if acc.ndim == 0:
-        return complex(acc)
-    return acc
+    return _expand_points(i.coeffs, np.arange(-i.m, i.m + 1), p)
 
 
 def rescale_to_period(i, period: float):

@@ -14,8 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import weight_g
-from .functions import eval_E
+from .domain import rotations
 from .interpolation import InterpolantAlt, eval_psi_alt_tensor
 
 
@@ -105,15 +104,30 @@ def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     return float(np.sum(np.asarray(slab_sums)) / n ** 3)
 
 
+def _above(freq, u: np.ndarray) -> np.ndarray:
+    """S[k] = sum of e^{2 pi i freq u_j} over the midpoints u_j > u_k."""
+    e = np.exp(2j * np.pi * freq * u)
+    return np.concatenate([np.cumsum(e[::-1])[::-1][1:], [0.0]])
+
+
 def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     """Quadrature estimate of the overlap of E_t and E_t' on the region.
 
-    Converges to weight_g(t) when t = t' and to 0 otherwise.
+    Converges to weight_g(t) when t = t' and to 0 otherwise.  The value
+    is the midpoint sum ``integrate_over_F`` takes of E_t conj(E_t'),
+    reordered: each of its nine plain exponentials e^{2 pi i (ax+by+cz)}
+    sums over the cells {x > z, y > z} as sum_k e^{2 pi i c z_k} S_a(k)
+    S_b(k), with ``_above`` suffix sums S, so the cost is O(n), not O(n^3).
     """
-    def integrand(pts):
-        return eval_E(t, pts) * np.conj(eval_E(tp, pts))
-
-    return complex(integrate_over_F(integrand, n))
+    if n < 1:
+        raise ValueError(f"subdivision count must be >= 1, got {n}")
+    u = _midpoints(n)
+    total = 0j
+    for a1, b1, c1 in rotations(t):
+        for a2, b2, c2 in rotations(tp):
+            ez = np.exp(2j * np.pi * (c1 - c2) * u)
+            total += np.sum(ez * _above(a1 - a2, u) * _above(b1 - b2, u))
+    return complex(total / n ** 3)
 
 
 def fundamental_volume(n: int) -> float:

@@ -8,10 +8,12 @@ Forward transform of samples f on the lattice:
 with G the orbit-size weight (3 on the diagonal, 1 otherwise).  The
 inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
-Two forward paths are provided: a naive direct summation (the
-correctness oracle) and an optimized path that factors the exponentials
-through 1D phase tables and dense separable contractions.  They agree to
-roundoff and the optimized one is used by default.
+The forward transform factors the exponentials through 1D phase tables
+and dense separable contractions.  Every expansion of coefficients into
+values (the inverse, the interpolants) scatters them onto a dense cube of
+plain exponentials (``_dense_cube``) and contracts it (``_expand_tensor``
+on tensor grids, ``_expand_points`` at scattered points).  The direct
+sums ``adft_forward_naive`` and ``discrete_gram`` stay as oracles.
 """
 
 from __future__ import annotations
@@ -103,11 +105,8 @@ def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
 
 
 def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
-    """out[a, b, c] = sum_{ijk} tx[a, i] ty[b, j] tz[c, k] cube[i, j, k].
-
-    Axis-by-axis contraction; cost O(A I J K) per axis instead of
-    O(ABC IJK) for the direct triple sum.
-    """
+    """out[a, b, c] = sum_{ijk} tx[a, i] ty[b, j] tz[c, k] cube[i, j, k], axis by
+    axis: O(A I J K) per axis instead of O(ABC IJK) for the direct sum."""
     out = np.tensordot(tx, cube, axes=([1], [0]))             # a, j, k
     out = np.tensordot(ty, out, axes=([1], [1]))              # b, a, k
     out = np.tensordot(tz, out, axes=([1], [2]))              # c, b, a
@@ -121,6 +120,36 @@ def _separable_spectrum(s: SampleSet, freqs: np.ndarray) -> np.ndarray:
     cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
     table = _phase_table(freqs, _unit_coords(s.grid, np.arange(n)))
     return _separable(cube.reshape(n, n, n), table, table, table)
+
+
+def _dense_cube(table: DomainTable, values: np.ndarray, side: int) -> np.ndarray:
+    """Plain-exponential coefficients: each value added at its three label
+    rotations, the flat positions ``table.rot`` in the cube of side ``side``."""
+    cube = np.zeros(side ** 3, dtype=complex)
+    np.add.at(cube, table.rot, values[:, None])
+    return cube.reshape(side, side, side)
+
+
+def _expand_tensor(cube: np.ndarray, freqs, xs, ys, zs) -> np.ndarray:
+    """out[a, b, c] = sum cube[k, l, m] e^{2 pi i (f_k xs_a + f_l ys_b + f_m zs_c)}."""
+    tx, ty, tz = (_phase_table(freqs, c, sign=1).T for c in (xs, ys, zs))
+    # Contract z first, then y, then x: another order changes the last
+    # digits of the error-table outputs.
+    return _separable(cube.transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
+
+
+def _expand_points(cube: np.ndarray, freqs, p):
+    """sum_{klm} cube[k, l, m] e^{2 pi i (f_k x + f_l y + f_m z)} at point(s) p.
+
+    ``p`` (a point or an (..., 3) array, unit period) is reduced mod 1, which
+    is exact for integer frequencies, as in ``eval_E``.  One k-plane at a
+    time keeps memory at O(points * len(freqs)).
+    """
+    p = np.mod(np.asarray(p, dtype=float), 1.0)
+    ex, ey, ez = (_phase_table(freqs, c, sign=1).T for c in p.reshape(-1, 3).T)
+    acc = sum(ex[:, k] * np.einsum("qm,qm->q", ey @ plane, ez)
+              for k, plane in enumerate(cube)).reshape(p.shape[:-1])
+    return complex(acc) if acc.ndim == 0 else acc
 
 
 def _rotation_sums(spec: np.ndarray, out: DomainTable, n: int) -> np.ndarray:
@@ -143,11 +172,10 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    pts = _unit_coords(c.grid, c.table.index)
-    f = np.zeros(len(pts), dtype=complex)
-    for b, t in zip(c.values, c.table.index.tolist()):
-        f += b * eval_E(t, pts)
-    return SampleSet.from_array(c.grid, f)
+    n = c.grid.n
+    u = _unit_coords(c.grid, np.arange(n))
+    vals = _expand_tensor(_dense_cube(c.table, c.values, n), np.arange(n), u, u, u)
+    return SampleSet.from_array(c.grid, vals.ravel()[c.table.rot[:, 0]])
 
 
 def discrete_gram(g: GridSpec) -> np.ndarray:

@@ -1,7 +1,11 @@
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, domain_size, enumerate_domain, rotations
+from altexp.domain import (GridSpec, domain_size, domain_table, enumerate_domain,
+                           rotations)
 from altexp.functions import eval_E
 from altexp.interpolation import (InterpolantAlt, ParityError,
                                   alt_coefficient_count,
@@ -11,7 +15,7 @@ from altexp.interpolation import (InterpolantAlt, ParityError,
                                   remap_beta_to_c, remap_index,
                                   rescale_to_period, std_grid_points,
                                   std_interpolate)
-from altexp.transform import SampleSet, adft_forward
+from altexp.transform import SampleSet, adft_forward, adft_forward_naive
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -46,6 +50,13 @@ def dense_exponents_loop(interp):
         for k, l, mm in rotations(t):
             cube[k + m, l + m, mm + m] += c
     return cube
+
+
+def psi_direct(terms, p, period):
+    """Oracle: sum of c e^{2 pi i (k x + l y + m z) / T} over (c, (k, l, m)) terms."""
+    x, y, z = (float(c) / period for c in p)
+    return sum(c * cmath.exp(2j * cmath.pi * (k * x + l * y + m * z))
+               for c, (k, l, m) in terms)
 
 
 def grid_point_array(grid):
@@ -103,7 +114,7 @@ def test_remap_equals_direct(n):
     remapped = alt_interpolate_remap(s).coeffs
     for d, r in zip(direct.values, remapped.values, strict=True):
         assert abs(d - r) < 1e-12
-    naive = alt_interpolate_direct(s, naive=True).coeffs
+    naive = adft_forward_naive(s, domain_table(-(n // 2), n // 2))
     assert np.abs(direct.values - naive.values).max() < 1e-12
 
 
@@ -160,6 +171,40 @@ def test_tensor_eval_matches_pointwise():
         assert np.array_equal(interp.dense_exponents(), dense_exponents_loop(interp))
         tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
         assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
+
+
+@pytest.mark.parametrize("g", [GridSpec(0.31, 0.37, 5), GridSpec(-0.6, 0.83, 3, period=2.5)],
+                         ids=["shifted", "period-2.5"])
+def test_eval_psi_matches_direct_sum(g):
+    rng = np.random.default_rng(56)
+    pts = rng.uniform(-3.0, 4.0, (12, 3)) * g.period
+    pts[:4] = rng.uniform(0.0, 1.0, (4, 3)) * g.period
+    alt = alt_interpolate_direct(random_samples(g, seed=57))
+    alt_terms = [(c, r) for t, c in zip(enumerate_domain(-alt.m, alt.m), alt.coeffs.values)
+                 for r in rotations(t)]
+    f = rng.normal(size=(g.n,) * 3) + 1j * rng.normal(size=(g.n,) * 3)
+    std = std_interpolate(g, f)
+    freqs = range(-std.m, std.m + 1)
+    std_terms = [(std.coeffs[k + std.m, l + std.m, m + std.m], (k, l, m))
+                 for k in freqs for l in freqs for m in freqs]
+    for interp, evaluate, terms in ((alt, eval_psi_alt, alt_terms),
+                                    (std, eval_psi_std, std_terms)):
+        oracle = np.array([psi_direct(terms, p, g.period) for p in pts])
+        assert np.abs(evaluate(interp, pts) - oracle).max() < 1e-12
+        assert evaluate(interp, tuple(pts[5])) == pytest.approx(oracle[5], abs=1e-12)
+
+
+def test_eval_psi_alt_memory_linear_in_points():
+    # one k-plane at a time: O(points * (2M+1)), not O(points * (2M+1)^2)
+    interp = alt_interpolate_direct(random_samples(GridSpec(0, 0.5, 31), seed=58))
+    pts = np.random.default_rng(59).uniform(0.0, 1.0, (128 * 128, 3))
+    tracemalloc.start()
+    try:
+        eval_psi_alt(interp, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_std_interpolation_constant_and_basis():

@@ -183,11 +183,6 @@ def test_cli_verify_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_error_table_refuses_long_without_flag(tmp_path, capsys):
-    assert run(["error-table", "--N", 61]) == 2
-    assert run(["error-table", "--N", 121]) == 2
-
-
 def test_cli_error_table_small(tmp_path):
     out = tmp_path / "e.csv"
     assert run(["error-table", "--N", 7, "--quad-n", 48, "--out", out]) == 0
@@ -273,6 +268,27 @@ def test_cli_interpolate_rejects_nonpositive_res(tmp_path, capsys):
                  "--slice", "z=0.25", "--res", res, "--slice-out", slc])
         assert exc.value.code == 2
         assert "--res" in capsys.readouterr().err
+    assert not out.exists() and not slc.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_sample_rejects_non_finite_function(tmp_path, capsys, value):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--f", f"const:{value}", "--N", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "(0, 0, 0)" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_interpolate_rejects_bad_slice(tmp_path, capsys):
+    s_csv, _ = sample_lines(tmp_path)
+    out, slc = tmp_path / "i.json", tmp_path / "slice.csv"
+    for spec in ("q=1", "z=abc"):
+        with pytest.raises(SystemExit) as exc:
+            run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                 "--slice", spec, "--slice-out", slc])
+        assert exc.value.code == 2
+        assert "--slice" in capsys.readouterr().err
     assert not out.exists() and not slc.exists()
 
 

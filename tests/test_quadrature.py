@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altexp.domain import GridSpec, enumerate_domain, weight_g
+from altexp.functions import eval_E
 from altexp.interpolation import alt_interpolate_direct, eval_psi_alt
 from altexp.quadrature import (BumpParams, bump, continuous_gram_entry,
                                fundamental_volume, integrate_over_F,
@@ -72,6 +73,17 @@ def test_continuous_gram_entries():
     assert diag.real == pytest.approx(1.0, abs=0.03)
     diag_e110 = continuous_gram_entry((1, 1, 0), (1, 1, 0), 96)
     assert diag_e110.real == pytest.approx(1.0, abs=0.04)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_continuous_gram_is_the_midpoint_sum(n):
+    # the reordered sum visits the cells integrate_over_F visits
+    keys = enumerate_domain(0, 2)
+    pairs = [(t, tp) for i, t in enumerate(keys) for tp in keys[i:]]
+    pairs.append(((0, 1, 2), (2, 0, 1)))              # not semidominant
+    for t, tp in pairs:
+        ref = integrate_over_F(lambda pts: eval_E(t, pts) * np.conj(eval_E(tp, pts)), n)
+        assert abs(continuous_gram_entry(t, tp, n) - ref) < 1e-14
 
 
 def test_continuous_gram_convergence():

@@ -11,23 +11,23 @@ from altexp.transform import (SampleSet, adft_forward, adft_forward_naive,
                               adft_inverse, discrete_gram)
 
 
+def e_fn(t, p):
+    """E_t(p) with its own exponential arithmetic, not the library's eval_E."""
+    lam, mu, nu = t
+    x, y, z = p
+    tau = 2j * cmath.pi
+    return (cmath.exp(tau * (lam * x + mu * y + nu * z))
+            + cmath.exp(tau * (lam * z + mu * x + nu * y))
+            + cmath.exp(tau * (lam * y + mu * z + nu * x)))
+
+
 def brute_force_beta(grid, values):
     """Independent oracle: literal evaluation of the defining sum.
 
-    ``values`` are the samples in enumeration order.  Uses its own
-    exponential arithmetic, not the library's eval_E.
+    ``values`` are the samples in enumeration order.
     """
     n = grid.n
     keys = enumerate_domain(0, n - 1)
-
-    def e_fn(t, p):
-        lam, mu, nu = t
-        x, y, z = p
-        tau = 2j * cmath.pi
-        return (cmath.exp(tau * (lam * x + mu * y + nu * z))
-                + cmath.exp(tau * (lam * z + mu * x + nu * y))
-                + cmath.exp(tau * (lam * y + mu * z + nu * x)))
-
     out = {}
     for klm in keys:
         acc = 0j
@@ -99,6 +99,22 @@ def test_round_trip(n):
     s = random_samples(g, seed=100 + n)
     back = adft_inverse(adft_forward(s))
     assert np.abs(back.as_array() - s.as_array()).max() < 1e-10
+
+
+def brute_force_inverse(grid, values):
+    """Independent oracle: f(rst) = sum of beta_klm E_klm at each lattice point."""
+    keys = enumerate_domain(0, grid.n - 1)
+    return np.array([sum(b * e_fn(klm, grid.point(rst)) for klm, b in zip(keys, values))
+                     for rst in keys])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_inverse_matches_brute_force_oracle(n):
+    g = GridSpec(0.31, 0.37, n)
+    beta = adft_forward(random_samples(g, seed=60 + n))
+    beta.values[:] = random_samples(g, seed=70 + n).values
+    oracle = brute_force_inverse(g, beta.values)
+    assert np.abs(adft_inverse(beta).values - oracle).max() < 1e-12
 
 
 def test_inverse_of_delta():
