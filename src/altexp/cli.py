@@ -10,6 +10,7 @@ environment handling at import time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .domain import GridSpec, write_grid_csv
 from .interpolation import (ParityError, InterpolantAlt, alt_interpolate_direct,
                             alt_interpolate_remap, eval_psi_alt_tensor)
 from .quadrature import BumpParams, bump, interpolation_error
+from .textrows import write_rows
 from .transform import SampleSet, adft_forward, adft_inverse
 from .verify import run_suite
 
@@ -75,11 +77,30 @@ def _sample_lattice(g: GridSpec, fn) -> SampleSet:
     return s
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """Open every output before any is written.
+
+    If an open fails, or the body raises, the files opened here are
+    removed, so a failed command leaves no partial output.
+    """
+    fhs = []
     try:
-        return open(path, "w")
-    except OSError as exc:
-        raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
+        for path in paths:
+            try:
+                fhs.append(open(path, "w"))
+            except OSError as exc:
+                raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
+        yield fhs
+    except BaseException:
+        for fh in fhs:
+            fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(fh.name)
+        raise
+    finally:
+        for fh in fhs:
+            fh.close()
 
 
 def _io_fail(msg: str) -> int:
@@ -89,14 +110,14 @@ def _io_fail(msg: str) -> int:
 
 def cmd_grid(args) -> int:
     g = _grid_from_args(args)
-    with _open_out(args.out) as fh:
+    with _open_outputs(args.out) as (fh,):
         write_grid_csv(g, fh)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     s = _sample_lattice(_grid_from_args(args), _builtin_function(args))
-    with _open_out(args.out) as fh:
+    with _open_outputs(args.out) as (fh,):
         altio.write_samples_csv(s, fh)
     return EXIT_OK
 
@@ -115,7 +136,7 @@ def _read_samples(args) -> SampleSet:
 def cmd_transform(args) -> int:
     s = _read_samples(args)
     coeffs = adft_forward(s, naive=args.naive)
-    with _open_out(args.out) as fh:
+    with _open_outputs(args.out) as (fh,):
         altio.write_coefficients_json(coeffs, fh)
     return EXIT_OK
 
@@ -132,7 +153,7 @@ def cmd_inverse(args) -> int:
         s = adft_inverse(coeffs)
     except ValueError as exc:
         return _io_fail(str(exc))
-    with _open_out(args.out) as fh:
+    with _open_outputs(args.out) as (fh,):
         altio.write_samples_csv(s, fh)
     return EXIT_OK
 
@@ -145,12 +166,10 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
     """
     g = interp.grid
     coords = g.a + (np.arange(res) + 0.5) * (g.period / res)
-    vals = eval_psi_alt_tensor(interp, coords, coords, np.array([z]))[..., 0]
-    fh.write("x,y,re,im\n")
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            v = vals[i, j]
-            fh.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    vals = eval_psi_alt_tensor(interp, coords, coords, np.array([z])).ravel()
+    xy = np.column_stack([np.repeat(coords, res), np.tile(coords, res)])
+    write_rows(fh, "x,y,re,im\n", "%.17g,%.17g,%.17g,%.17g\n", xy,
+               np.column_stack([vals.real, vals.imag]))
 
 
 def cmd_interpolate(args) -> int:
@@ -160,11 +179,11 @@ def cmd_interpolate(args) -> int:
     except ParityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with _open_out(args.out) as fh:
-        altio.write_coefficients_json(interp.coeffs, fh)
-    if args.slice is not None:
-        with _open_out(args.slice_out) as fh:
-            _write_slice_csv(interp, args.slice, args.res, fh)
+    slicing = args.slice is not None
+    with _open_outputs(args.out, *([args.slice_out] if slicing else [])) as fhs:
+        altio.write_coefficients_json(interp.coeffs, fhs[0])
+        if slicing:
+            _write_slice_csv(interp, args.slice, args.res, fhs[1])
     return EXIT_OK
 
 
@@ -175,7 +194,7 @@ def cmd_verify(args) -> int:
               "pass": all(r.passed for r in results)}
     text = json.dumps(report, indent=1)
     if args.out:
-        with _open_out(args.out) as fh:
+        with _open_outputs(args.out) as (fh,):
             fh.write(text + "\n")
     else:
         print(text)
@@ -190,14 +209,13 @@ def cmd_error_table(args) -> int:
     for n in args.N:
         g = GridSpec(args.a, args.b, n)
         interp = alt_interpolate_direct(_sample_lattice(g, f))
-        quad_n = args.quad_n if args.quad_n else (256 if n >= 31 else 128)
+        quad_n = (256 if n >= 31 else 128) if args.quad_n is None else args.quad_n
         rows.append((n, interpolation_error(f, interp, quad_n)))
-    out = _open_out(args.out) if args.out else sys.stdout
-    out.write("N,error\n")
-    for n, err in rows:
-        out.write(f"{n},{err:.17g}\n")
-    if args.out:
-        out.close()
+    outputs = _open_outputs(args.out) if args.out else contextlib.nullcontext([sys.stdout])
+    with outputs as (out,):
+        out.write("N,error\n")
+        for n, err in rows:
+            out.write(f"{n},{err:.17g}\n")
     return EXIT_OK
 
 
@@ -294,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--center", default="0.75,0.75,0.25")
-    p.add_argument("--quad-n", type=int, default=None,
+    p.add_argument("--quad-n", type=_positive_int, default=None,
                    help="quadrature subdivisions per axis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_error_table)

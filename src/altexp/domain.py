@@ -15,6 +15,8 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from .textrows import write_rows
+
 IndexTriple = tuple  # (k, l, m), ints for lattice use, reals allowed for labels
 Point3 = tuple       # (x, y, z)
 
@@ -159,6 +161,5 @@ def in_fundamental_domain(p: Sequence) -> bool:
 
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     """Grid export: header ``r,s,t,x,y,z``, coordinates at 17 significant digits."""
-    fh.write("r,s,t,x,y,z\n")
-    for (r, s, t), (x, y, z) in grid_points(g):
-        fh.write(f"{r},{s},{t},{x:.17g},{y:.17g},{z:.17g}\n")
+    write_rows(fh, "r,s,t,x,y,z\n", "%d,%d,%d,%.17g,%.17g,%.17g\n",
+               domain_table(0, g.n - 1).index, g.points())

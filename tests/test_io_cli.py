@@ -296,3 +296,36 @@ def test_cli_verify_identities_report(tmp_path):
     rpt = tmp_path / "r.json"
     assert run(["verify", "identities", "--seed", 3, "--out", rpt]) == 0
     assert all(c["pass"] is True for c in json.loads(rpt.read_text())["checks"])
+
+
+def test_cli_interpolate_leaves_no_output_when_slice_out_fails(tmp_path, capsys):
+    s_csv, _ = sample_lines(tmp_path)
+    out = tmp_path / "i.json"
+    assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                "--slice", "z=0.2", "--slice-out", tmp_path / "nodir" / "c.csv"]) == 3
+    assert "nodir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_error_table_rejects_nonpositive_quad_n(tmp_path, capsys, value):
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["error-table", "--N", 3, "--quad-n", value, "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--quad-n" in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_inverse_refuses_non_finite_samples(tmp_path, capsys):
+    # finite coefficients whose expansion overflows: exit 2, no output file
+    obj = beta_json_obj(tmp_path)
+    for c in obj["coeffs"]:
+        c["re"] = 1e308
+    bad, out = tmp_path / "big.json", tmp_path / "back.csv"
+    bad.write_text(json.dumps(obj))
+    assert run(["inverse", "--in", bad, "--out", out]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
