@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import secrets
 import sys
 
 if "ALTF_THREADS" in os.environ:
@@ -27,7 +28,7 @@ from .interpolation import (ParityError, InterpolantAlt, alt_interpolate_direct,
                             alt_interpolate_remap, eval_psi_alt_tensor)
 from .quadrature import BumpParams, bump, interpolation_error
 from .textrows import write_rows
-from .transform import SampleSet, adft_forward, adft_inverse
+from .transform import SampleSet, adft_forward, adft_forward_naive, adft_inverse
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -79,28 +80,34 @@ def _sample_lattice(g: GridSpec, fn) -> SampleSet:
 
 @contextlib.contextmanager
 def _open_outputs(*paths):
-    """Open every output before any is written.
+    """Open a temporary file beside every output before any is written.
 
-    If an open fails, or the body raises, the files opened here are
-    removed, so a failed command leaves no partial output.
+    Once the body returns, each one is moved onto its output with
+    ``os.replace``.  If an open fails, or the body raises, the temporary
+    files are removed, so a failed command leaves no partial output and
+    any earlier file of the same name as it was.
     """
     fhs = []
     try:
         for path in paths:
+            head, name = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
             try:
-                fhs.append(open(path, "w"))
+                fhs.append(open(tmp, "x"))   # the umask-derived mode of open(path, "w")
             except OSError as exc:
                 raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
         yield fhs
-    except BaseException:
-        for fh in fhs:
-            fh.close()
-            with contextlib.suppress(OSError):
-                os.remove(fh.name)
-        raise
+        for fh, path in zip(fhs, paths):
+            try:
+                fh.close()
+                os.replace(fh.name, path)
+            except OSError as exc:
+                raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
     finally:
         for fh in fhs:
             fh.close()
+            with contextlib.suppress(OSError):     # gone once moved into place
+                os.remove(fh.name)
 
 
 def _io_fail(msg: str) -> int:
@@ -135,7 +142,7 @@ def _read_samples(args) -> SampleSet:
 
 def cmd_transform(args) -> int:
     s = _read_samples(args)
-    coeffs = adft_forward(s, naive=args.naive)
+    coeffs = adft_forward_naive(s) if args.naive else adft_forward(s)
     with _open_outputs(args.out) as (fh,):
         altio.write_coefficients_json(coeffs, fh)
     return EXIT_OK
@@ -150,7 +157,9 @@ def cmd_inverse(args) -> int:
     except altio.FormatError as exc:
         return _io_fail(f"{args.infile}: {exc}")
     try:
-        s = adft_inverse(coeffs)
+        # an expansion that overflows is refused by the writer, in one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = adft_inverse(coeffs)
     except ValueError as exc:
         return _io_fail(str(exc))
     with _open_outputs(args.out) as (fh,):

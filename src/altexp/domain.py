@@ -51,12 +51,15 @@ class DomainTable(NamedTuple):
     orbit weights G, and ``rot`` the (P, 3) flat positions, in the cube
     of side n2 - n1 + 1 offset by n1, of the three label rotations
     (k, l, m), (m, k, l), (l, m, k) whose plain exponentials sum to E.
-    ``rot[:, 0]`` is strictly increasing.
+    ``rot[:, 0]`` is strictly increasing.  ``pos``, the inverse of ``rot``,
+    is that cube of int32: each cell holds the enumeration position of its
+    semidominant rotation (every cell is covered: 3P - 2 * side = side^3).
     """
 
     index: np.ndarray
     weight: np.ndarray
     rot: np.ndarray
+    pos: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -70,9 +73,11 @@ def domain_table(n1: int, n2: int) -> DomainTable:
     def flat(i, j, q):
         return (i * side + j) * side + q
 
+    rot = np.stack([flat(k, l, m), flat(m, k, l), flat(l, m, k)], axis=1)
+    pos = np.empty((side,) * 3, dtype=np.int32)
+    pos.reshape(-1)[rot] = np.arange(len(rot), dtype=np.int32)[:, None]
     table = DomainTable(np.stack([k, l, m], axis=1) + n1,
-                        np.where((k == l) & (l == m), 3, 1),
-                        np.stack([flat(k, l, m), flat(m, k, l), flat(l, m, k)], axis=1))
+                        np.where((k == l) & (l == m), 3, 1), rot, pos)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -89,14 +94,14 @@ def enumerate_domain(n1: int, n2: int) -> list:
 
 def domain_positions(n1: int, n2: int, triples) -> np.ndarray:
     """Enumeration positions of ``triples`` in a non-empty D(n1, n2); -1 where absent."""
-    codes = domain_table(n1, n2).rot[:, 0]
+    table = domain_table(n1, n2)
     side = n2 - n1 + 1
     # entries outside the range match nothing, and clipping keeps them outside
     t = np.clip(np.asarray(triples).reshape(-1, 3) - n1, -1, side).astype(np.int64)
-    flat = (t[:, 0] * side + t[:, 1]) * side + t[:, 2]
-    pos = np.minimum(np.searchsorted(codes, flat), len(codes) - 1)
-    found = np.all((t >= 0) & (t < side), axis=1) & (codes[pos] == flat)
-    return np.where(found, pos, -1)
+    inside = np.all((t >= 0) & (t < side), axis=1)
+    flat = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
+    pos = table.pos.ravel()[flat]
+    return np.where(inside & (table.rot[pos, 0] == flat), pos, -1)
 
 
 def domain_size(n: int) -> int:
@@ -126,10 +131,12 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"grid density N must be >= 1, got {self.n}")
+        if not np.isfinite(self.a):
+            raise ValueError(f"lattice shift a must be finite, got {self.a}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"fractional offset b must be in [0, 1], got {self.b}")
-        if self.period <= 0:
-            raise ValueError(f"period T must be positive, got {self.period}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period T must be positive and finite, got {self.period}")
 
     @property
     def point_count(self) -> int:

@@ -8,8 +8,10 @@ interpolant
 
 whose coefficients are the same weighted sums as the forward transform,
 taken over the widened index range.  The coefficients can equivalently
-be obtained by remapping forward-transform output (index shifts by N
-plus a lattice-dependent phase); both paths are kept as mutual oracles.
+be obtained by remapping forward-transform output (negative index entries
+lifted by N, a lookup of the semidominant rotation in the ``pos`` cube,
+and a lattice-dependent phase, all array-wide); both paths are kept as
+mutual oracles.
 
 The standard (non-alternating) interpolant on the full cubic N^3 grid is
 included as a baseline.  Both interpolants evaluate through the dense
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import GridSpec, canonicalize, domain_positions, domain_table
+from .domain import GridSpec, canonicalize, domain_table
 from .transform import (CoefficientSet, SampleSet, _dense_cube, _expand_points,
                         _expand_tensor, _phase_table, _rotation_sums, _separable,
                         _separable_spectrum, adft_forward)
@@ -58,7 +60,7 @@ class InterpolantAlt:
 
     def dense_exponents(self) -> np.ndarray:
         """Coefficients of e^{2 pi i (kx+ly+mz)}, indexed k+M, l+M, m+M."""
-        return _dense_cube(self.coeffs.table, self.coeffs.values, 2 * self.m + 1)
+        return _dense_cube(self.coeffs.table, self.coeffs.values)
 
     def __call__(self, p):
         return eval_psi_alt(self, p)
@@ -84,25 +86,22 @@ def remap_index(t: Sequence, m: int) -> tuple:
     return canonicalize(tuple(c + n if c < 0 else c for c in t))
 
 
-def _remap_phase(t: Sequence, grid: GridSpec) -> complex:
+def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
+    """Convert forward-transform coefficients to interpolation coefficients:
+    ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
+    if c.role != "beta":
+        raise ValueError(f"remap needs role 'beta', got {c.role!r}")
+    n = 2 * m + 1
+    if c.grid.n != n:
+        raise ValueError(f"grid density {c.grid.n} does not match N=2M+1={n}")
+    idx = domain_table(-m, m).index
+    lifted = idx < 0
     # Lifting an index entry by N multiplies E on the lattice by
     # e^{2 pi i (N a + b)} per lifted slot; exact only when N a + b is an
     # integer (e.g. the unshifted lattice), hence the correction here.
-    shifts = sum(1 for c in t if c < 0)
-    cycles = (grid.n * grid.a / grid.period + grid.b) * shifts
-    return complex(np.exp(2j * np.pi * cycles))
-
-
-def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
-    """Convert forward-transform coefficients to interpolation coefficients."""
-    if c.role != "beta":
-        raise ValueError(f"remap needs role 'beta', got {c.role!r}")
-    if c.grid.n != 2 * m + 1:
-        raise ValueError(f"grid density {c.grid.n} does not match N=2M+1={2 * m + 1}")
-    keys = domain_table(-m, m).index.tolist()
-    src = domain_positions(0, 2 * m, [remap_index(t, m) for t in keys])
-    vals = [_remap_phase(t, c.grid) * v for t, v in zip(keys, c.values[src].tolist())]
-    return CoefficientSet(c.grid, "c_alt", np.array(vals), m=m)
+    cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
+    src = c.table.pos[tuple((idx + n * lifted).T)]
+    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src], m=m)
 
 
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:

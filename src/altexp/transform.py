@@ -10,7 +10,7 @@ inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
 The forward transform factors the exponentials through 1D phase tables
 and dense separable contractions.  Every expansion of coefficients into
-values (the inverse, the interpolants) scatters them onto a dense cube of
+values (the inverse, the interpolants) gathers them onto a dense cube of
 plain exponentials (``_dense_cube``) and contracts it (``_expand_tensor``
 on tensor grids, ``_expand_points`` at scattered points).  The direct
 sums ``adft_forward_naive`` and ``discrete_gram`` stay as oracles.
@@ -75,9 +75,6 @@ class CoefficientSet:
             return domain_table(-self.m, self.m)
         raise ValueError(f"no canonical key order for role {self.role!r}")
 
-    def as_array(self) -> np.ndarray:
-        return self.values
-
 
 def _unit_coords(grid: GridSpec, idx) -> np.ndarray:
     # Transforms work in unit-period pullback coordinates p / T, where
@@ -122,12 +119,10 @@ def _separable_spectrum(s: SampleSet, freqs: np.ndarray) -> np.ndarray:
     return _separable(cube.reshape(n, n, n), table, table, table)
 
 
-def _dense_cube(table: DomainTable, values: np.ndarray, side: int) -> np.ndarray:
-    """Plain-exponential coefficients: each value added at its three label
-    rotations, the flat positions ``table.rot`` in the cube of side ``side``."""
-    cube = np.zeros(side ** 3, dtype=complex)
-    np.add.at(cube, table.rot, values[:, None])
-    return cube.reshape(side, side, side)
+def _dense_cube(table: DomainTable, values: np.ndarray) -> np.ndarray:
+    """Plain-exponential coefficients on the index cube of ``table``: each cell
+    takes G times the value of its semidominant rotation, ``table.pos``."""
+    return (table.weight * values)[table.pos]
 
 
 def _expand_tensor(cube: np.ndarray, freqs, xs, ys, zs) -> np.ndarray:
@@ -159,10 +154,8 @@ def _rotation_sums(spec: np.ndarray, out: DomainTable, n: int) -> np.ndarray:
     return (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.weight * n ** 3)
 
 
-def adft_forward(s: SampleSet, naive: bool = False) -> CoefficientSet:
+def adft_forward(s: SampleSet) -> CoefficientSet:
     """Alternating discrete Fourier transform of a complete sample set."""
-    if naive:
-        return adft_forward_naive(s)
     n = s.grid.n
     spec = _separable_spectrum(s, np.arange(n))
     return CoefficientSet(s.grid, "beta", _rotation_sums(spec, s.table, n))
@@ -174,7 +167,7 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
     n = c.grid.n
     u = _unit_coords(c.grid, np.arange(n))
-    vals = _expand_tensor(_dense_cube(c.table, c.values, n), np.arange(n), u, u, u)
+    vals = _expand_tensor(_dense_cube(c.table, c.values), np.arange(n), u, u, u)
     return SampleSet.from_array(c.grid, vals.ravel()[c.table.rot[:, 0]])
 
 

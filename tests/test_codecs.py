@@ -403,12 +403,15 @@ def test_coefficients_writer_refuses_non_finite():
     v[2] = math.nan
     assert str(tuple(domain_table(0, 2).index[2].tolist())) in refused(
         write_coefficients_json, CoefficientSet(g, "beta", v))
-    refused(write_coefficients_json, CoefficientSet(GridSpec(math.nan, 0.37, 3), "beta",
+    object.__setattr__(g, "a", math.nan)        # GridSpec itself refuses a = nan
+    refused(write_coefficients_json, CoefficientSet(g, "beta",
                                                     np.ones(g.point_count, dtype=complex)))
 
 
 def test_grid_writer_refuses_non_finite():
-    assert "(0, 0, 0)" in refused(write_grid_csv, GridSpec(math.inf, 0.5, 2))
+    g = GridSpec(0.0, 0.5, 2)
+    object.__setattr__(g, "a", math.inf)        # GridSpec itself refuses a = inf
+    assert "(0, 0, 0)" in refused(write_grid_csv, g)
 
 
 def test_slice_writer_refuses_non_finite():

@@ -143,3 +143,26 @@ def test_domain_positions():
     assert domain_positions(0, 3, [(0, 1, 0), (4, 0, 0), (-1, 0, 0),
                                    (3, 2, 1)]).tolist() == [-1, -1, -1,
                                                              keys.index((3, 2, 1))]
+    keys = enumerate_domain(-2, 2)
+    assert domain_positions(-2, 2, keys).tolist() == list(range(len(keys)))
+    # negative entries, out of range on either side, a non-semidominant
+    # rotation of a member, and an entry beyond int64
+    assert domain_positions(-2, 2, [(-2, -1, -2), (3, 0, 0), (0, 0, -3),
+                                    (-1, 0, 1), (0, 1, -1), (-1, -2, -2)]).tolist() == [
+        -1, -1, -1, -1, keys.index((0, 1, -1)), keys.index((-1, -2, -2))]
+    assert domain_positions(0, 3, [(2 ** 63, 0, 0), (3, 2, 1)]).tolist() == [
+        -1, enumerate_domain(0, 3).index((3, 2, 1))]
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (0, 1), (0, 4), (0, 7), (-1, 1), (-3, 3)])
+def test_domain_table_pos_inverts_rot(n1, n2):
+    table = domain_table(n1, n2)
+    side = n2 - n1 + 1
+    assert table.pos.shape == (side,) * 3 and table.pos.dtype == np.int32
+    cells = np.arange(side ** 3)
+    assert (table.rot[table.pos.ravel()] == cells[:, None]).any(axis=1).all()
+    for cell in np.ndindex(table.pos.shape):
+        t = tuple(c + n1 for c in cell)
+        assert tuple(table.index[table.pos[cell]].tolist()) == canonicalize(t)
+    with pytest.raises(ValueError):
+        table.pos[0, 0, 0] = 0

@@ -138,6 +138,20 @@ def test_remap_is_identity_on_nonnegative_region():
         assert remap_index(t, big_m) == t
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_remap_matches_per_key_formula(n):
+    # the per-key remap: remap_index plus the scalar lattice phase
+    big_m = n // 2
+    g = GridSpec(0.31, 0.37, n, 1.7)
+    beta = adft_forward(random_samples(g, seed=60 + n))
+    src = {t: i for i, t in enumerate(enumerate_domain(0, n - 1))}
+    want = [cmath.exp(2j * cmath.pi * ((n * g.a / g.period + g.b) * sum(c < 0 for c in t)))
+            * beta.values[src[remap_index(t, big_m)]]
+            for t in enumerate_domain(-big_m, big_m)]
+    got = remap_beta_to_c(beta, big_m).values
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 def test_remap_dimension_mismatch():
     g = GridSpec(0, 0, 5)
     beta = adft_forward(random_samples(g))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_coefficients_json_round_trip():
     back = read_coefficients_json(buf)
     assert back.role == "beta"
     assert back.grid == g
-    assert np.array_equal(back.as_array(), c.as_array())
+    assert np.array_equal(back.values, c.values)
 
 
 def test_coefficients_json_errors():
@@ -318,7 +319,7 @@ def test_cli_error_table_rejects_nonpositive_quad_n(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 def test_cli_inverse_refuses_non_finite_samples(tmp_path, capsys):
     # finite coefficients whose expansion overflows: exit 2, no output file
     obj = beta_json_obj(tmp_path)
@@ -329,3 +330,59 @@ def test_cli_inverse_refuses_non_finite_samples(tmp_path, capsys):
     assert run(["inverse", "--in", bad, "--out", out]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_interpolate_remap_matches_direct(tmp_path):
+    s_csv = tmp_path / "s.csv"
+    grid = ["--N", 7, "--a", 0.31, "--b", 0.37, "--T", 1.3]
+    run(["sample", "--f", "bump", *grid, "--out", s_csv])
+    out = {}
+    for route, flags in (("direct", []), ("remap", ["--remap"])):
+        ijson, slc = tmp_path / f"{route}.json", tmp_path / f"{route}.csv"
+        assert run(["interpolate", "--in", s_csv, *grid, *flags, "--out", ijson,
+                    "--slice", "z=0.25", "--res", 8, "--slice-out", slc]) == 0
+        obj = json.loads(ijson.read_text())
+        out[route] = (np.array([complex(c["re"], c["im"]) for c in obj["coeffs"]]),
+                      np.loadtxt(slc, delimiter=",", skiprows=1))
+    assert np.abs(out["direct"][0] - out["remap"][0]).max() < 1e-12
+    assert np.abs(out["direct"][1] - out["remap"][1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["grid", "--N", 3, "--a", "nan"], "shift a"),
+    (["grid", "--N", 3, "--T", "nan"], "period T"),
+    (["transform", "--N", 3, "--T", "inf"], "period T")])
+def test_cli_rejects_non_finite_grid_flags(tmp_path, capsys, argv, name):
+    s_csv, _ = sample_lines(tmp_path)
+    out = tmp_path / "out"
+    extra = ["--in", s_csv] if argv[0] == "transform" else []
+    assert run(argv + extra + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
+    s_csv, _ = sample_lines(tmp_path)
+    out, slc = tmp_path / "i.json", tmp_path / "c.csv"
+    assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                "--slice", "z=0.2", "--slice-out", slc]) == 0
+    before = out.read_bytes()
+    assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                "--slice", "z=0.2", "--slice-out", tmp_path / "nodir" / "c.csv"]) == 3
+    assert out.read_bytes() == before
+
+    obj = beta_json_obj(tmp_path)
+    b_json, back = tmp_path / "b.json", tmp_path / "back.csv"
+    assert run(["inverse", "--in", b_json, "--out", back]) == 0
+    good = back.read_bytes()
+    for c in obj["coeffs"]:
+        c["re"] = 1e308
+    b_json.write_text(json.dumps(obj))
+    assert run(["inverse", "--in", b_json, "--out", back]) == 2
+    assert back.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "b.json", "back.csv", "c.csv", "i.json", "s.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert all(p.stat().st_mode & 0o777 == 0o666 & ~umask for p in (out, back))

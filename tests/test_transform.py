@@ -88,8 +88,8 @@ def test_optimized_matches_naive():
     for n in (2, 3, 4, 5, 6, 7, 9):
         g = GridSpec(-0.4, 0.9, n)
         s = random_samples(g, seed=n)
-        fast = adft_forward(s).as_array()
-        slow = adft_forward_naive(s).as_array()
+        fast = adft_forward(s).values
+        slow = adft_forward_naive(s).values
         assert np.abs(fast - slow).max() < 1e-11
 
 
@@ -139,8 +139,8 @@ def test_linearity():
     alpha, gamma = 1.7 - 0.3j, -0.8 + 2.1j
     mixed = SampleSet.from_array(
         g, alpha * s1.as_array() + gamma * s2.as_array())
-    lhs = adft_forward(mixed).as_array()
-    rhs = alpha * adft_forward(s1).as_array() + gamma * adft_forward(s2).as_array()
+    lhs = adft_forward(mixed).values
+    rhs = alpha * adft_forward(s1).values + gamma * adft_forward(s2).values
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
