@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: grid, sample, transform, inverse, interpolate, verify,
-error-table.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 I/O or format error.  ``ALTF_THREADS`` caps the BLAS thread
-count and must be honored before numpy spins up its pools, hence the
-environment handling at import time.
+error-table.  Commands raise on failure, and ``main`` alone turns the
+exception into one ``error:`` line and an exit code: 0 success, 1
+verification failure, 2 usage error, 3 I/O or format error, naming the
+file.  The commands run the fast paths only; ``verify transform`` and
+``verify interpolation`` check them against the naive-sum and remap
+oracles.
 """
 
 from __future__ import annotations
@@ -16,19 +18,14 @@ import os
 import secrets
 import sys
 
-if "ALTF_THREADS" in os.environ:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["ALTF_THREADS"])
-
 import numpy as np
 
 from . import io as altio
 from .domain import GridSpec, write_grid_csv
-from .interpolation import (ParityError, InterpolantAlt, alt_interpolate_direct,
-                            alt_interpolate_remap, eval_psi_alt_tensor)
+from .interpolation import InterpolantAlt, alt_interpolate_direct, eval_psi_alt_tensor
 from .quadrature import BumpParams, bump, interpolation_error
 from .textrows import write_rows
-from .transform import SampleSet, adft_forward, adft_forward_naive, adft_inverse
+from .transform import SampleSet, adft_forward, adft_inverse
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -37,12 +34,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _grid_from_args(args) -> GridSpec:
     return GridSpec(args.a, args.b, args.N, args.T)
+
+
+def _bump_from_args(args):
+    params = BumpParams(args.alpha, args.beta, args.center)
+    return lambda pts: bump(params, pts)
 
 
 def _builtin_function(args):
@@ -55,16 +53,12 @@ def _builtin_function(args):
         try:
             k, l, m = (int(c) for c in spec[len("E:"):].split(","))
         except ValueError:
-            raise UsageError(f"bad E-function label in {spec!r}; expected E:k,l,m")
+            raise ValueError(f"bad E-function label in {spec!r}; expected E:k,l,m")
         from .functions import eval_E
         return lambda pts: np.asarray(eval_E((k, l, m), pts))
     if spec == "bump":
-        center = tuple(float(c) for c in args.center.split(","))
-        if len(center) != 3:
-            raise UsageError(f"bump center needs 3 coordinates, got {args.center!r}")
-        params = BumpParams(args.alpha, args.beta, center)
-        return lambda pts: bump(params, pts)
-    raise UsageError(f"unknown sample function {spec!r}; use const:<v>, E:k,l,m or bump")
+        return _bump_from_args(args)
+    raise ValueError(f"unknown sample function {spec!r}; use const:<v>, E:k,l,m or bump")
 
 
 def _sample_lattice(g: GridSpec, fn) -> SampleSet:
@@ -73,9 +67,21 @@ def _sample_lattice(g: GridSpec, fn) -> SampleSet:
     bad = np.flatnonzero(~np.isfinite(s.values))
     if bad.size:
         rst = tuple(s.table.index[bad[0]].tolist())
-        raise UsageError(f"sample function is not finite at lattice point {rst}: "
+        raise ValueError(f"sample function is not finite at lattice point {rst}: "
                          f"{s.values[bad[0]]}")
     return s
+
+
+def _read_input(path, read):
+    """``read(fh)`` on the text file at ``path``.  A failure to open, read,
+    decode or parse it raises OSError or FormatError naming ``path``."""
+    try:
+        with open(path) as fh:
+            return read(fh)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    except (UnicodeDecodeError, altio.FormatError) as exc:
+        raise altio.FormatError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -92,17 +98,14 @@ def _open_outputs(*paths):
         for path in paths:
             head, name = os.path.split(os.fspath(path))
             tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
-            try:
-                fhs.append(open(tmp, "x"))   # the umask-derived mode of open(path, "w")
-            except OSError as exc:
-                raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
+            fhs.append(open(tmp, "x"))   # the umask-derived mode of open(path, "w")
+        path = ", ".join(map(str, paths))   # a write in the body may hit any of them
         yield fhs
         for fh, path in zip(fhs, paths):
-            try:
-                fh.close()
-                os.replace(fh.name, path)
-            except OSError as exc:
-                raise SystemExit(_io_fail(f"cannot write {path}: {exc.strerror}"))
+            fh.close()
+            os.replace(fh.name, path)
+    except OSError as exc:   # name the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         for fh in fhs:
             fh.close()
@@ -110,61 +113,43 @@ def _open_outputs(*paths):
                 os.remove(fh.name)
 
 
-def _io_fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_IO
-
-
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> None:
     g = _grid_from_args(args)
     with _open_outputs(args.out) as (fh,):
         write_grid_csv(g, fh)
-    return EXIT_OK
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     s = _sample_lattice(_grid_from_args(args), _builtin_function(args))
     with _open_outputs(args.out) as (fh,):
         altio.write_samples_csv(s, fh)
-    return EXIT_OK
 
 
 def _read_samples(args) -> SampleSet:
     g = _grid_from_args(args)
-    try:
-        with open(args.infile) as fh:
-            return altio.read_samples_csv(g, fh)
-    except OSError as exc:
-        raise SystemExit(_io_fail(f"cannot read {args.infile}: {exc.strerror}"))
-    except altio.FormatError as exc:
-        raise SystemExit(_io_fail(f"{args.infile}: {exc}"))
+    return _read_input(args.infile, lambda fh: altio.read_samples_csv(g, fh))
 
 
-def cmd_transform(args) -> int:
-    s = _read_samples(args)
-    coeffs = adft_forward_naive(s) if args.naive else adft_forward(s)
+def cmd_transform(args) -> None:
+    coeffs = adft_forward(_read_samples(args))
     with _open_outputs(args.out) as (fh,):
         altio.write_coefficients_json(coeffs, fh)
-    return EXIT_OK
 
 
-def cmd_inverse(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            coeffs = altio.read_coefficients_json(fh)
-    except OSError as exc:
-        return _io_fail(f"cannot read {args.infile}: {exc.strerror}")
-    except altio.FormatError as exc:
-        return _io_fail(f"{args.infile}: {exc}")
-    try:
-        # an expansion that overflows is refused by the writer, in one line
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = adft_inverse(coeffs)
-    except ValueError as exc:
-        return _io_fail(str(exc))
+def _read_beta(fh):
+    c = altio.read_coefficients_json(fh)
+    if c.role != "beta":
+        raise altio.FormatError(f"inverse transform needs role 'beta', got {c.role!r}")
+    return c
+
+
+def cmd_inverse(args) -> None:
+    coeffs = _read_input(args.infile, _read_beta)
+    # an expansion that overflows is refused by the writer, in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = adft_inverse(coeffs)
     with _open_outputs(args.out) as (fh,):
         altio.write_samples_csv(s, fh)
-    return EXIT_OK
 
 
 def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
@@ -181,22 +166,16 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
                np.column_stack([vals.real, vals.imag]))
 
 
-def cmd_interpolate(args) -> int:
-    s = _read_samples(args)
-    try:
-        interp = alt_interpolate_remap(s) if args.remap else alt_interpolate_direct(s)
-    except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_interpolate(args) -> None:
+    interp = alt_interpolate_direct(_read_samples(args))
     slicing = args.slice is not None
     with _open_outputs(args.out, *([args.slice_out] if slicing else [])) as fhs:
         altio.write_coefficients_json(interp.coeffs, fhs[0])
         if slicing:
             _write_slice_csv(interp, args.slice, args.res, fhs[1])
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> bool:
     results = run_suite(args.suite, seed=args.seed, inject_fault=args.inject_fault)
     report = {"seed": args.seed, "suite": args.suite,
               "checks": [r.as_dict() for r in results],
@@ -207,13 +186,11 @@ def cmd_verify(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return EXIT_OK if report["pass"] else EXIT_VERIFY
+    return report["pass"]
 
 
-def cmd_error_table(args) -> int:
-    center = tuple(float(c) for c in args.center.split(","))
-    params = BumpParams(args.alpha, args.beta, center)
-    f = lambda pts: bump(params, pts)
+def cmd_error_table(args) -> None:
+    f = _bump_from_args(args)
     rows = []
     for n in args.N:
         g = GridSpec(args.a, args.b, n)
@@ -225,7 +202,6 @@ def cmd_error_table(args) -> int:
         out.write("N,error\n")
         for n, err in rows:
             out.write(f"{n},{err:.17g}\n")
-    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -248,12 +224,30 @@ def _z_slice(text: str) -> float:
     return z
 
 
+def _center(text: str) -> tuple:
+    try:
+        center = tuple(float(c) for c in text.split(","))
+    except ValueError:
+        center = ()
+    if len(center) != 3 or not np.all(np.isfinite(center)):
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated finite numbers x,y,z, got {text!r}")
+    return center
+
+
 def _add_grid_flags(p, default_b=0.0):
     p.add_argument("--N", type=int, required=True, help="grid density")
     p.add_argument("--a", type=float, default=0.0, help="lattice shift")
     p.add_argument("--b", type=float, default=default_b,
                    help="fractional offset in [0, 1]")
     p.add_argument("--T", type=float, default=1.0, help="period")
+
+
+def _add_bump_flags(p):
+    p.add_argument("--alpha", type=float, default=0.1, help="bump inner radius")
+    p.add_argument("--beta", type=float, default=0.2, help="bump outer radius")
+    p.add_argument("--center", type=_center, default=(0.75, 0.75, 0.25),
+                   help="bump center x,y,z")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,11 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sample", help="sample a built-in function on the lattice")
-    p.add_argument("--f", required=True,
-                   help="const:<v>, E:k,l,m, or bump")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.2)
-    p.add_argument("--center", default="0.75,0.75,0.25")
+    p.add_argument("--f", required=True, help="const:<v>, E:k,l,m, or bump")
+    _add_bump_flags(p)
     _add_grid_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -281,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="forward transform of a sample CSV")
     p.add_argument("--in", dest="infile", required=True)
     _add_grid_flags(p)
-    p.add_argument("--naive", action="store_true",
-                   help="use the direct-summation oracle path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 
@@ -294,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpolate", help="build the interpolant for a sample CSV")
     p.add_argument("--in", dest="infile", required=True)
     _add_grid_flags(p)
-    p.add_argument("--remap", action="store_true",
-                   help="go through the forward transform plus index remap")
     p.add_argument("--slice", type=_z_slice, default=None,
                    help="export a plane cut, e.g. z=0.25")
     p.add_argument("--res", type=_positive_int, default=64, help="slice resolution")
@@ -318,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid density; repeatable")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.2)
-    p.add_argument("--center", default="0.75,0.75,0.25")
+    _add_bump_flags(p)
     p.add_argument("--quad-n", type=_positive_int, default=None,
                    help="quadrature subdivisions per axis")
     p.add_argument("--out", default=None)
@@ -330,18 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        passed = args.func(args)     # only verify returns a verdict
+    except OSError as exc:           # the helpers set filename to the path
+        msg, code = f"{exc.filename}: {exc.strerror}", EXIT_IO
+    except altio.FormatError as exc:  # prefixed with the path by _read_input
+        msg, code = str(exc), EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        msg, code = str(exc), EXIT_USAGE
+    else:
+        return EXIT_VERIFY if passed is False else EXIT_OK
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

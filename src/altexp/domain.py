@@ -137,6 +137,9 @@ class GridSpec:
             raise ValueError(f"fractional offset b must be in [0, 1], got {self.b}")
         if not 0 < self.period < np.inf:
             raise ValueError(f"period T must be positive and finite, got {self.period}")
+        a, t = float(self.a), float(self.period)  # coordinates are bounded by |a| + T
+        if not np.isfinite([abs(a) + t, a / t]).all():   # transforms use a / T
+            raise ValueError(f"shift a={a} and period T={t} overflow the lattice coordinates")
 
     @property
     def point_count(self) -> int:

@@ -18,7 +18,7 @@ from .domain import GridSpec, domain_size, domain_table, rotations
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase)
 from .interpolation import alt_interpolate_direct, remap_beta_to_c
-from .transform import SampleSet, adft_forward, discrete_gram
+from .transform import SampleSet, adft_forward, adft_forward_naive, discrete_gram
 
 FD_STEP = 1e-3  # central-difference step for the operator checks
 
@@ -198,13 +198,27 @@ def check_ew_expanded(rng, trials=20) -> CheckResult:
     return CheckResult("c3_ew_expanded_form", worst, 1e-11)
 
 
+def _random_samples(rng, n: int) -> SampleSet:
+    """Gaussian complex samples on a randomly shifted lattice of density n."""
+    g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
+    return SampleSet.from_array(g, rng.normal(size=domain_size(n))
+                                + 1j * rng.normal(size=domain_size(n)))
+
+
+def check_forward_vs_naive(rng) -> CheckResult:
+    worst = 0.0
+    for n in (1, 2, 5, 6):
+        s = _random_samples(rng, n)
+        gap = np.abs(adft_forward(s).values - adft_forward_naive(s).values)
+        worst = max(worst, float(gap.max()))
+    return CheckResult("forward_vs_naive", worst, 1e-12)
+
+
 def check_remap_vs_direct(rng, inject_fault=False) -> CheckResult:
     worst = 0.0
     for n in (3, 5, 7):
         m = (n - 1) // 2
-        g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
-        f = rng.normal(size=domain_size(n)) + 1j * rng.normal(size=domain_size(n))
-        s = SampleSet.from_array(g, f)
+        s = _random_samples(rng, n)
         direct = alt_interpolate_direct(s).coeffs
         beta = adft_forward(s)
         if inject_fault:
@@ -218,7 +232,7 @@ ALL_CHECKS = {
     "identities": [check_cyclic_symmetry, check_periodicity, check_diagonal_shift,
                    check_product_labels, check_product_points,
                    check_operator_eigenvalues],
-    "transform": [check_discrete_orthogonality],
+    "transform": [check_discrete_orthogonality, check_forward_vs_naive],
     "interpolation": [check_remap_vs_direct],
     "c3": [check_symmetrization, check_tilde_we_order, check_orbit_table,
            check_ew_expanded],
@@ -227,18 +241,11 @@ ALL_CHECKS = {
 
 def run_suite(suite: str = "all", seed: int = 0, inject_fault: bool = False) -> list:
     """Run one named suite (or all of them); returns CheckResult list."""
-    if suite == "all":
-        names = ["identities", "transform", "interpolation", "c3"]
-    elif suite in ALL_CHECKS:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in ALL_CHECKS:
         raise ValueError(f"unknown verification suite {suite!r}")
     results = []
-    for name in names:
+    for name in ALL_CHECKS if suite == "all" else [suite]:
         for check in ALL_CHECKS[name]:
-            rng = np.random.default_rng(seed)
-            if check is check_remap_vs_direct:
-                results.append(check(rng, inject_fault=inject_fault))
-            else:
-                results.append(check(rng))
+            fault = {"inject_fault": inject_fault} if check is check_remap_vs_direct else {}
+            results.append(check(np.random.default_rng(seed), **fault))
     return results

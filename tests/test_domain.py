@@ -166,3 +166,11 @@ def test_domain_table_pos_inverts_rot(n1, n2):
         assert tuple(table.index[table.pos[cell]].tolist()) == canonicalize(t)
     with pytest.raises(ValueError):
         table.pos[0, 0, 0] = 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, period", [(1.7e308, 1e308), (-1e308, 1e308), (1e10, 1e-300)])
+def test_gridspec_refuses_overflowing_coordinates(a, period):
+    with pytest.raises(ValueError, match="a=.* T=.* overflow"):
+        GridSpec(a, 0.5, 2, period)
+    assert GridSpec(np.finfo(float).max, 0.5, 2).a == np.finfo(float).max

@@ -117,19 +117,6 @@ def test_cli_transform_const_single_nonzero(tmp_path):
     assert nonzero[0]["re"] == pytest.approx(1 / 3)
 
 
-def test_cli_naive_flag_agrees(tmp_path):
-    s_csv = tmp_path / "s.csv"
-    run(["sample", "--f", "bump", "--N", 5, "--b", 0.5, "--out", s_csv])
-    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
-    run(["transform", "--in", s_csv, "--N", 5, "--b", 0.5, "--out", fast])
-    run(["transform", "--in", s_csv, "--N", 5, "--b", 0.5, "--naive",
-         "--out", slow])
-    a = json.loads(fast.read_text())["coeffs"]
-    b = json.loads(slow.read_text())["coeffs"]
-    assert max(abs(x["re"] - y["re"]) + abs(x["im"] - y["im"])
-               for x, y in zip(a, b)) < 1e-11
-
-
 def test_cli_interpolate_slice(tmp_path):
     s_csv = tmp_path / "s.csv"
     run(["sample", "--f", "const:1", "--N", 3, "--out", s_csv])
@@ -332,22 +319,6 @@ def test_cli_inverse_refuses_non_finite_samples(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_interpolate_remap_matches_direct(tmp_path):
-    s_csv = tmp_path / "s.csv"
-    grid = ["--N", 7, "--a", 0.31, "--b", 0.37, "--T", 1.3]
-    run(["sample", "--f", "bump", *grid, "--out", s_csv])
-    out = {}
-    for route, flags in (("direct", []), ("remap", ["--remap"])):
-        ijson, slc = tmp_path / f"{route}.json", tmp_path / f"{route}.csv"
-        assert run(["interpolate", "--in", s_csv, *grid, *flags, "--out", ijson,
-                    "--slice", "z=0.25", "--res", 8, "--slice-out", slc]) == 0
-        obj = json.loads(ijson.read_text())
-        out[route] = (np.array([complex(c["re"], c["im"]) for c in obj["coeffs"]]),
-                      np.loadtxt(slc, delimiter=",", skiprows=1))
-    assert np.abs(out["direct"][0] - out["remap"][0]).max() < 1e-12
-    assert np.abs(out["direct"][1] - out["remap"][1]).max() < 1e-12
-
-
 @pytest.mark.parametrize("argv, name", [
     (["grid", "--N", 3, "--a", "nan"], "shift a"),
     (["grid", "--N", 3, "--T", "nan"], "period T"),
@@ -386,3 +357,70 @@ def test_cli_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
     umask = os.umask(0)
     os.umask(umask)
     assert all(p.stat().st_mode & 0o777 == 0o666 & ~umask for p in (out, back))
+
+
+@pytest.mark.parametrize("argv", [["sample", "--f", "bump", "--N", 3],
+                                  ["error-table", "--N", 3]])
+@pytest.mark.parametrize("center", ["1,2", "a,b,c"])
+def test_cli_rejects_bad_center(tmp_path, capsys, argv, center):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--center", center, "--out", out])
+    assert exc.value.code == 2
+    assert "--center" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["grid", "--N", 2, "--a", 1.7e308, "--T", 1e308],
+    ["sample", "--f", "const:1", "--N", 2, "--a", 1.7e308, "--T", 1e308],
+    ["transform", "--N", 3, "--a", 1e10, "--T", 1e-300]])
+def test_cli_rejects_overflowing_lattice(tmp_path, capsys, argv):
+    s_csv, _ = sample_lines(tmp_path)
+    out = tmp_path / "out"
+    extra = ["--in", s_csv] if argv[0] == "transform" else []
+    assert run(argv + extra + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "a=" in err and "T=" in err and "overflow" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["transform", "--N", 3], ["interpolate", "--N", 3],
+                                  ["inverse"]])
+def test_cli_undecodable_input_exit_code(tmp_path, capsys, argv):
+    bad, out = tmp_path / "bad.bin", tmp_path / "out"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert run(argv + ["--in", bad, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "decode" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.bin"]
+
+
+def test_cli_inverse_rejects_interpolation_coefficients(tmp_path, capsys):
+    s_csv, _ = sample_lines(tmp_path)
+    ijson, out = tmp_path / "i.json", tmp_path / "back.csv"
+    assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", ijson]) == 0
+    assert run(["inverse", "--in", ijson, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(ijson) in err and "'c_alt'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_io_errors_name_the_path(tmp_path, capsys):
+    missing, out = tmp_path / "nope.csv", tmp_path / "nodir" / "g.csv"
+    assert run(["transform", "--in", missing, "--N", 3, "--out", tmp_path / "o.json"]) == 3
+    err = capsys.readouterr().err
+    assert str(missing) in err and err.count("\n") == 1
+    assert run(["grid", "--N", 3, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cli_verify_transform_checks_naive_oracle(tmp_path, seed):
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "transform", "--seed", seed, "--out", rpt]) == 0
+    checks = {c["name"]: c["pass"] for c in json.loads(rpt.read_text())["checks"]}
+    assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True}
