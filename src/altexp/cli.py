@@ -4,9 +4,9 @@ Subcommands: grid, sample, transform, inverse, interpolate, verify,
 error-table.  Commands raise on failure, and ``main`` alone turns the
 exception into one ``error:`` line and an exit code: 0 success, 1
 verification failure, 2 usage error, 3 I/O or format error, naming the
-file.  The commands run the fast paths only; ``verify transform`` and
-``verify interpolation`` check them against the naive-sum and remap
-oracles.
+file, 4 out of memory, naming the command line.  The commands run the
+fast paths only; ``verify transform`` and ``verify interpolation`` check
+them against the naive-sum and remap oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_MEMORY = 4
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -47,18 +48,22 @@ def _builtin_function(args):
     """Resolve --f into a vectorized callable on (..., 3) point arrays."""
     spec = args.f
     if spec.startswith("const:"):
-        value = complex(spec[len("const:"):])
+        try:
+            value = complex(spec[len("const:"):])
+        except ValueError:
+            raise ValueError(f"bad constant in --f {spec!r}; expected const:<complex number>")
         return lambda pts: np.full(np.asarray(pts).shape[:-1], value)
     if spec.startswith("E:"):
         try:
             k, l, m = (int(c) for c in spec[len("E:"):].split(","))
         except ValueError:
-            raise ValueError(f"bad E-function label in {spec!r}; expected E:k,l,m")
+            raise ValueError(f"bad E-function label in --f {spec!r}; expected E:k,l,m")
         from .functions import eval_E
         return lambda pts: np.asarray(eval_E((k, l, m), pts))
     if spec == "bump":
         return _bump_from_args(args)
-    raise ValueError(f"unknown sample function {spec!r}; use const:<v>, E:k,l,m or bump")
+    raise ValueError(f"unknown sample function in --f {spec!r}; "
+                     "use const:<v>, E:k,l,m or bump")
 
 
 def _sample_lattice(g: GridSpec, fn) -> SampleSet:
@@ -204,14 +209,17 @@ def cmd_error_table(args) -> None:
             out.write(f"{n},{err:.17g}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type for integers >= ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+        return value
+    return parse
 
 
 def _z_slice(text: str) -> float:
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.add_argument("--slice", type=_z_slice, default=None,
                    help="export a plane cut, e.g. z=0.25")
-    p.add_argument("--res", type=_positive_int, default=64, help="slice resolution")
+    p.add_argument("--res", type=_int_at_least(1), default=64, help="slice resolution")
     p.add_argument("--slice-out", default="slice.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_interpolate)
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", "identities", "transform", "interpolation", "c3"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="perturb one transform coefficient before the remap check")
     p.add_argument("--out", default=None)
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.5)
     _add_bump_flags(p)
-    p.add_argument("--quad-n", type=_positive_int, default=None,
+    p.add_argument("--quad-n", type=_int_at_least(1), default=None,
                    help="quadrature subdivisions per axis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_error_table)
@@ -324,6 +332,10 @@ def main(argv=None) -> int:
         msg, code = str(exc), EXIT_IO
     except ValueError as exc:
         msg, code = str(exc), EXIT_USAGE
+    except MemoryError as exc:       # a request too large for this host
+        request = " ".join(sys.argv[1:] if argv is None else argv)
+        detail = f": {exc}" if str(exc) else ""
+        msg, code = f"out of memory running 'altexp {request}'{detail}", EXIT_MEMORY
     else:
         return EXIT_VERIFY if passed is False else EXIT_OK
     print(f"error: {msg}", file=sys.stderr)

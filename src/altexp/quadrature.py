@@ -1,8 +1,13 @@
 """Midpoint quadrature over the fundamental region and error estimates.
 
 The region is the part of the unit cube with x > z and y > z (volume
-1/3).  Integration uses an axis-aligned midpoint rule with a membership
-indicator; cell sums rely on numpy's pairwise summation, so results are
+1/3).  Integration uses an axis-aligned midpoint rule that counts a cell
+when its center is in the region.  ``integrate_over_F`` multiplies each
+z-slab by that membership indicator.  The midpoints strictly increase,
+so the indicator of the slab at the k-th midpoint is 1 exactly on the
+block [k+1:, k+1:] of the (x, y) grid; ``interpolation_error`` evaluates
+only that block and writes it into a zeroed slab.  Cell sums rely on
+numpy's pairwise summation over each whole (n, n) slab, so results are
 deterministic and independent of any threading.
 """
 
@@ -31,21 +36,30 @@ class BumpParams:
             raise ValueError(f"radii must satisfy 0 < alpha < beta, got {self}")
 
 
-def bump(params: BumpParams, p) -> float:
+def bump(params: BumpParams, p) -> float | np.ndarray:
     """1 inside radius alpha, 0 outside beta, smooth rolloff between.
 
     The transition value at relative radius q = (r - alpha)/(beta - alpha)
     is e * exp(1/(q^2 - 1)), which is 1 at q=0 and decays to 0 at q=1.
-    ``p`` may be a point or an (..., 3) array.
+    ``p`` may be a point, for which a float is returned, or an (..., 3)
+    array, for which an array of its leading shape is returned.
+
+    The squared distance is summed left to right, dx*dx + dy*dy + dz*dz,
+    the order ``np.sum`` takes over a length-3 axis.  The order is fixed
+    because sample files and error tables carry these bits, and a point
+    must give the bits of its row in an array; products are dx*dx, not
+    dx**2, which on a float64 scalar goes through libm ``pow``.
     """
     p = np.asarray(p, dtype=float)
     d = p - np.asarray(params.center, dtype=float)
-    r = np.sqrt(np.sum(d * d, axis=-1))
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
     q = (r - params.alpha) / (params.beta - params.alpha)
-    out = np.zeros_like(r)
-    out[r < params.alpha] = 1.0
-    mid = (r >= params.alpha) & (r <= params.beta) & (q < 1.0)
-    out[mid] = math.e * np.exp(1.0 / (q[mid] ** 2 - 1.0))
+    out = np.asarray(r < params.alpha, dtype=float)
+    shell = (q >= 0.0) & (q < 1.0)    # alpha <= r <= beta, less q rounded to 1
+    if shell.any():
+        qs = q[shell]
+        out[shell] = math.e * np.exp(1.0 / (qs * qs - 1.0))
     if out.ndim == 0:
         return float(out)
     return out
@@ -83,24 +97,28 @@ def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     """Integral of |f - psi|^2 over the fundamental region.
 
     The interpolant is evaluated slab-by-slab through its separable
-    tensor-grid path, so the cost is linear in the cell count.
+    tensor-grid path, so the cost is linear in the cell count.  ``f`` is
+    called only on the cells of the region, one block of a slab at a time.
     """
+    if n < 1:
+        raise ValueError(f"subdivision count must be >= 1, got {n}")
     u = _midpoints(n)
-    x = u[:, None]
-    y = u[None, :]
     slab_sums = []
     pts = np.empty((n, n, 3))
+    pts[..., 0] = u[:, None]
+    pts[..., 1] = u[None, :]
     chunk = max(1, (1 << 22) // (n * n))
     for lo in range(0, n, chunk):
         zs = u[lo:lo + chunk]
         psi = eval_psi_alt_tensor(interp, u, u, zs)
         for j, z in enumerate(zs):
-            pts[..., 0] = x
-            pts[..., 1] = y
-            pts[..., 2] = z
-            diff = np.abs(np.asarray(f(pts)) - psi[..., j]) ** 2
-            mask = (x > z) & (y > z)
-            slab_sums.append(np.sum(diff * mask))
+            k = lo + j + 1    # the cells with x > z and y > z are [k:, k:]
+            slab = np.zeros((n, n))
+            if k < n:
+                pts[k:, k:, 2] = z
+                block = np.asarray(f(pts[k:, k:])) - psi[k:, k:, j]
+                slab[k:, k:] = np.abs(block) ** 2
+            slab_sums.append(np.sum(slab))
     return float(np.sum(np.asarray(slab_sums)) / n ** 3)
 
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from altexp import cli
 from altexp.cli import main
 from altexp.domain import GridSpec, domain_size, enumerate_domain
 from altexp.functions import eval_E
@@ -424,3 +425,37 @@ def test_cli_verify_transform_checks_naive_oracle(tmp_path, seed):
     assert run(["verify", "transform", "--seed", seed, "--out", rpt]) == 0
     checks = {c["name"]: c["pass"] for c in json.loads(rpt.read_text())["checks"]}
     assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True}
+
+
+@pytest.mark.parametrize("spec", ["const:abc", "E:1,x,0", "sine"])
+def test_cli_sample_names_f_in_bad_spec(tmp_path, capsys, spec):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--f", spec, "--N", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--f {spec!r}" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_verify_rejects_bad_seed(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "identities", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and repr(seed) in err
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 1.36 PiB", ""])
+def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, detail):
+    def no_memory(*args):     # stands in for an allocation too large for the host
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "GridSpec", no_memory)
+    out = tmp_path / "e.csv"
+    argv = ["error-table", "--N", 40000, "--quad-n", 1, "--out", out]
+    assert run(argv) == cli.EXIT_MEMORY == 4
+    err = capsys.readouterr().err
+    request = " ".join(map(str, argv))
+    assert err == f"error: out of memory running 'altexp {request}'" + (
+        f": {detail}\n" if detail else "\n")
+    assert not out.exists()
