@@ -4,7 +4,8 @@ Subcommands: grid, sample, transform, inverse, interpolate, verify,
 error-table.  Commands raise on failure, and ``main`` alone turns the
 exception into one ``error:`` line and an exit code: 0 success, 1
 verification failure, 2 usage error, 3 I/O or format error, naming the
-file, 4 out of memory, naming the command line.  The commands run the
+file, 4 out of memory, naming the command line, 5 any other internal
+error, naming the exception type.  The commands run the
 fast paths only; ``verify transform`` and ``verify interpolation`` check
 them against the naive-sum and remap oracles.
 """
@@ -33,6 +34,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_MEMORY = 4
+EXIT_INTERNAL = 5
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -56,8 +58,10 @@ def _builtin_function(args):
     if spec.startswith("E:"):
         try:
             k, l, m = (int(c) for c in spec[len("E:"):].split(","))
-        except ValueError:
-            raise ValueError(f"bad E-function label in --f {spec!r}; expected E:k,l,m")
+            float(k), float(l), float(m)    # eval_E works in floats
+        except (ValueError, OverflowError):
+            raise ValueError(f"bad E-function label in --f {spec!r}; "
+                             "expected E:k,l,m with integers that fit a float")
         from .functions import eval_E
         return lambda pts: np.asarray(eval_E((k, l, m), pts))
     if spec == "bump":
@@ -336,6 +340,8 @@ def main(argv=None) -> int:
         request = " ".join(sys.argv[1:] if argv is None else argv)
         detail = f": {exc}" if str(exc) else ""
         msg, code = f"out of memory running 'altexp {request}'{detail}", EXIT_MEMORY
+    except Exception as exc:         # a fault of the program; KeyboardInterrupt passes
+        msg, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
     else:
         return EXIT_VERIFY if passed is False else EXIT_OK
     print(f"error: {msg}", file=sys.stderr)

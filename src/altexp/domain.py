@@ -17,9 +17,6 @@ import numpy as np
 
 from .textrows import write_rows
 
-IndexTriple = tuple  # (k, l, m), ints for lattice use, reals allowed for labels
-Point3 = tuple       # (x, y, z)
-
 
 def is_semidominant(t: Sequence) -> bool:
     """True iff the triple satisfies k >= l >= m or l > k > m."""
@@ -36,7 +33,7 @@ def rotations(t: Sequence) -> list:
     return [(k, l, m), (m, k, l), (l, m, k)]
 
 
-def canonicalize(t: Sequence) -> IndexTriple:
+def canonicalize(t: Sequence) -> tuple:
     """The unique semidominant cyclic rotation of ``t``."""
     hits = {r for r in rotations(t) if is_semidominant(r)}
     if len(hits) != 1:
@@ -150,17 +147,12 @@ class GridSpec:
         idx = domain_table(0, self.n - 1).index
         return self.a + (idx + self.b) * (self.period / self.n)
 
-    def point(self, rst: Sequence) -> Point3:
+    def point(self, rst: Sequence) -> tuple:
         r, s, t = rst
         h = self.period / self.n
         return (self.a + (r + self.b) * h,
                 self.a + (s + self.b) * h,
                 self.a + (t + self.b) * h)
-
-
-def grid_points(g: GridSpec) -> list:
-    """(index, point) pairs of the lattice, in enumeration order."""
-    return list(zip(enumerate_domain(0, g.n - 1), map(tuple, g.points().tolist())))
 
 
 def in_fundamental_domain(p: Sequence) -> bool:

@@ -41,18 +41,14 @@ def _require_odd(n: int) -> int:
     return (n - 1) // 2
 
 
-def alt_coefficient_count(m: int) -> int:
-    """(2M+1)(4M^2 + 4M + 3)/3, equal to the lattice point count."""
-    return (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
-
-
 @dataclass
 class InterpolantAlt:
-    """Alternating interpolant: coefficients over D(-M, M) plus origin grid."""
+    """Alternating interpolant: its "c_alt" coefficients over D(-M, M).
 
-    m: int
+    M and the period T come from the coefficients' grid, N = 2M+1.
+    """
+
     coeffs: CoefficientSet
-    period: float = 1.0
 
     @property
     def grid(self) -> GridSpec:
@@ -62,9 +58,6 @@ class InterpolantAlt:
         """Coefficients of e^{2 pi i (kx+ly+mz)}, indexed k+M, l+M, m+M."""
         return _dense_cube(self.coeffs.table, self.coeffs.values)
 
-    def __call__(self, p):
-        return eval_psi_alt(self, p)
-
 
 def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     """Interpolation coefficients by the defining weighted sums."""
@@ -72,8 +65,7 @@ def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     m = _require_odd(grid.n)
     spec = _separable_spectrum(s, np.arange(-m, m + 1))
     vals = _rotation_sums(spec, domain_table(-m, m), grid.n)
-    coeffs = CoefficientSet(grid, "c_alt", vals, m=m)
-    return InterpolantAlt(m, coeffs, period=grid.period)
+    return InterpolantAlt(CoefficientSet(grid, "c_alt", vals))
 
 
 def remap_index(t: Sequence, m: int) -> tuple:
@@ -86,14 +78,12 @@ def remap_index(t: Sequence, m: int) -> tuple:
     return canonicalize(tuple(c + n if c < 0 else c for c in t))
 
 
-def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
+def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
     """Convert forward-transform coefficients to interpolation coefficients:
     ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
     if c.role != "beta":
         raise ValueError(f"remap needs role 'beta', got {c.role!r}")
-    n = 2 * m + 1
-    if c.grid.n != n:
-        raise ValueError(f"grid density {c.grid.n} does not match N=2M+1={n}")
+    n, m = c.grid.n, _require_odd(c.grid.n)
     idx = domain_table(-m, m).index
     lifted = idx < 0
     # Lifting an index entry by N multiplies E on the lattice by
@@ -101,40 +91,35 @@ def remap_beta_to_c(c: CoefficientSet, m: int) -> CoefficientSet:
     # integer (e.g. the unshifted lattice), hence the correction here.
     cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
     src = c.table.pos[tuple((idx + n * lifted).T)]
-    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src], m=m)
+    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src])
 
 
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
     """Interpolant via forward transform plus index remap."""
-    m = _require_odd(s.grid.n)
-    coeffs = remap_beta_to_c(adft_forward(s), m)
-    return InterpolantAlt(m, coeffs, period=s.grid.period)
+    return InterpolantAlt(remap_beta_to_c(adft_forward(s)))
 
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p."""
-    p = np.asarray(p, dtype=float) / i.period
-    return _expand_points(i.dense_exponents(), np.arange(-i.m, i.m + 1), p)
+    m, p = i.coeffs.m, np.asarray(p, dtype=float) / i.grid.period
+    return _expand_points(i.dense_exponents(), np.arange(-m, m + 1), p)
 
 
 def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     """Evaluate on the tensor grid xs x ys x zs: shape (len(xs), len(ys), len(zs)),
     in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation."""
-    xs, ys, zs = (np.asarray(c) / i.period for c in (xs, ys, zs))
-    return _expand_tensor(i.dense_exponents(), np.arange(-i.m, i.m + 1), xs, ys, zs)
+    m = i.coeffs.m
+    xs, ys, zs = (np.asarray(c) / i.grid.period for c in (xs, ys, zs))
+    return _expand_tensor(i.dense_exponents(), np.arange(-m, m + 1), xs, ys, zs)
 
 
 @dataclass
 class InterpolantStd:
-    """Standard trigonometric interpolant: dense (2M+1)^3 coefficients."""
+    """Standard trigonometric interpolant: dense (2M+1)^3 coefficients,
+    with M and the period T taken from the grid, N = 2M+1."""
 
-    m: int
     coeffs: np.ndarray                      # indexed k+M, l+M, m+M
     grid: GridSpec
-    period: float = 1.0
-
-    def __call__(self, p):
-        return eval_psi_std(self, p)
 
 
 def std_grid_points(grid: GridSpec):
@@ -154,25 +139,10 @@ def std_interpolate(grid: GridSpec, samples) -> InterpolantStd:
     if f.shape != (grid.n,) * 3:
         raise ValueError(f"expected samples of shape {(grid.n,) * 3}, got {f.shape}")
     table = _phase_table(np.arange(-m, m + 1), std_grid_points(grid) / grid.period)
-    return InterpolantStd(m, _separable(f, table, table, table) / grid.n ** 3, grid,
-                          period=grid.period)
+    return InterpolantStd(_separable(f, table, table, table) / grid.n ** 3, grid)
 
 
 def eval_psi_std(i: InterpolantStd, p) -> complex:
     """Evaluate the standard interpolant at point(s) p."""
-    p = np.asarray(p, dtype=float) / i.period
-    return _expand_points(i.coeffs, np.arange(-i.m, i.m + 1), p)
-
-
-def rescale_to_period(i, period: float):
-    """The same interpolant viewed on a domain of side ``period``.
-
-    Evaluation at p then equals the original evaluation at p / (period/T_old).
-    """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    if isinstance(i, InterpolantAlt):
-        return InterpolantAlt(i.m, i.coeffs, period=period)
-    if isinstance(i, InterpolantStd):
-        return InterpolantStd(i.m, i.coeffs, i.grid, period=period)
-    raise TypeError(f"not an interpolant: {i!r}")
+    m, p = _require_odd(i.grid.n), np.asarray(p, dtype=float) / i.grid.period
+    return _expand_points(i.coeffs, np.arange(-m, m + 1), p)

@@ -176,6 +176,8 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
     role = _field(obj, "role", lambda v: v in ("beta", "c_alt"), "'beta' or 'c_alt'")
     if role == "c_alt" and (m is None or n != 2 * m + 1):
         raise FormatError(f"role 'c_alt' needs N = 2M+1, got N={n}, M={m}")
+    if role == "beta" and m is not None:
+        raise FormatError(f"field 'M' must be null for role 'beta', got {m!r}")
     coeffs = _field(obj, "coeffs", lambda v: isinstance(v, list), "a list")
     # the entries are checked field by field over the whole list; any bad
     # entry sends the list through the per-entry checks, which name the first
@@ -198,4 +200,4 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
         raise FormatError(str(exc)) from None
     n1, n2 = (0, n - 1) if role == "beta" else (-m, m)
     return CoefficientSet(grid, role, _place(n1, n2, (k, l, m_), values, "coeffs[{}]".format,
-                                             f"role {role!r} index range"), m=m)
+                                             f"role {role!r} index range"))

@@ -32,8 +32,8 @@ class BumpParams:
     center: tuple
 
     def __post_init__(self):
-        if not 0 < self.alpha < self.beta:
-            raise ValueError(f"radii must satisfy 0 < alpha < beta, got {self}")
+        if not 0 < self.alpha < self.beta < math.inf:
+            raise ValueError(f"radii must satisfy 0 < alpha < beta < inf, got {self}")
 
 
 def bump(params: BumpParams, p) -> float | np.ndarray:

@@ -58,6 +58,7 @@ class SampleSet:
 class CoefficientSet:
     """Transform coefficients in the enumeration order of their index range.
 
+    The grid alone carries N, a, b and T; the role fixes the index range:
     role "beta": D(0, N-1) (forward-transform output);
     role "c_alt": D(-M, M) with N = 2M+1 (interpolation).
     """
@@ -65,7 +66,15 @@ class CoefficientSet:
     grid: GridSpec
     role: str
     values: np.ndarray
-    m: int | None = None
+
+    def __post_init__(self):
+        if self.role == "c_alt" and self.grid.n % 2 == 0:
+            raise ValueError(f"role 'c_alt' needs odd N = 2M+1, got N={self.grid.n}")
+
+    @property
+    def m(self) -> int | None:
+        """M = (N-1)/2 for role "c_alt", None for role "beta"."""
+        return (self.grid.n - 1) // 2 if self.role == "c_alt" else None
 
     @property
     def table(self) -> DomainTable:

@@ -217,13 +217,12 @@ def check_forward_vs_naive(rng) -> CheckResult:
 def check_remap_vs_direct(rng, inject_fault=False) -> CheckResult:
     worst = 0.0
     for n in (3, 5, 7):
-        m = (n - 1) // 2
         s = _random_samples(rng, n)
         direct = alt_interpolate_direct(s).coeffs
         beta = adft_forward(s)
         if inject_fault:
             beta.values[1] += 0.01
-        remapped = remap_beta_to_c(beta, m)
+        remapped = remap_beta_to_c(beta)
         worst = max(worst, float(np.abs(direct.values - remapped.values).max()))
     return CheckResult("remap_vs_direct", worst, 1e-12)
 

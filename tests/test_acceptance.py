@@ -5,11 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from altexp.domain import (GridSpec, domain_size, enumerate_domain,
-                           grid_points, weight_g)
+from altexp.domain import GridSpec, domain_size, enumerate_domain, weight_g
 from altexp.functions import eval_E
-from altexp.interpolation import (alt_coefficient_count,
-                                  alt_interpolate_direct,
+from altexp.interpolation import (alt_interpolate_direct,
                                   alt_interpolate_remap, eval_psi_alt)
 from altexp.quadrature import (BumpParams, bump, continuous_gram_entry,
                                interpolation_error)
@@ -58,7 +56,7 @@ def test_criterion_2_grid_combinatorics():
     t0 = time.time()
     counts_ok = all(len(enumerate_domain(0, n - 1)) == n * (n * n + 2) // 3
                     for n in range(1, 21))
-    pts = [p for _, p in grid_points(GridSpec(0, 0, 3))]
+    pts = GridSpec(0, 0, 3).points().tolist()
     pts_ok = len(pts) == 11 and all(
         max(abs(a - b) for a, b in zip(p, q)) < 1e-15
         for p, q in zip(pts, N3_POINTS))
@@ -99,8 +97,8 @@ def test_criterion_4_interpolation():
                                                          remapped.coeffs.values,
                                                          strict=True)))
     counts_ok = all(
-        alt_coefficient_count(m) == (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
-        and alt_coefficient_count(m) == len(enumerate_domain(-m, m))
+        domain_size(2 * m + 1) == (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
+        and domain_size(2 * m + 1) == len(enumerate_domain(-m, m))
         for m in (1, 2, 3))
     elapsed = time.time() - t0
     report(4, "interpolation proposition",

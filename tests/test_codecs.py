@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altexp.cli import _write_slice_csv, main
-from altexp.domain import GridSpec, domain_positions, domain_table, grid_points, write_grid_csv
+from altexp.domain import GridSpec, domain_positions, domain_table, write_grid_csv
 from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json, write_samples_csv)
@@ -51,7 +51,8 @@ def old_write_coefficients_json(c, fh):
 
 def old_write_grid_csv(g, fh):
     fh.write("r,s,t,x,y,z\n")
-    for (r, s, t), (x, y, z) in grid_points(g):
+    for (r, s, t), (x, y, z) in zip(domain_table(0, g.n - 1).index.tolist(),
+                                    g.points().tolist()):
         fh.write(f"{r},{s},{t},{x:.17g},{y:.17g},{z:.17g}\n")
 
 
@@ -166,7 +167,7 @@ def old_read_coefficients_json(fh):
         raise FormatError(str(exc)) from None
     n1, n2 = (0, n - 1) if role == "beta" else (-m, m)
     return CoefficientSet(grid, role, old_place(n1, n2, keys, values, where,
-                                                f"role {role!r} index range"), m=m)
+                                                f"role {role!r} index range"))
 
 
 def outcome(read, *args):
@@ -203,7 +204,7 @@ def special_values(size, seed):
 def c_alt_set(g, seed):
     m = (g.n - 1) // 2
     size = len(domain_table(-m, m).index)
-    return CoefficientSet(g, "c_alt", special_values(size, seed), m=m)
+    return CoefficientSet(g, "c_alt", special_values(size, seed))
 
 
 # ----------------------------------------------------------------- writers

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from altexp.domain import (GridSpec, canonicalize, domain_positions,
                            domain_size, domain_table, enumerate_domain,
-                           grid_points,
                            in_fundamental_domain, is_semidominant, rotations,
                            weight_g, write_grid_csv)
 from altexp.functions import eval_E
@@ -73,9 +72,8 @@ def test_weight_g():
 
 
 def test_grid_points_n3_reference():
-    pts = grid_points(GridSpec(0, 0, 3))
-    assert [rst for rst, _ in pts] == N3_DOMAIN
-    coords = [p for _, p in pts]
+    assert enumerate_domain(0, 2) == N3_DOMAIN
+    coords = list(map(tuple, GridSpec(0, 0, 3).points().tolist()))
     third = 1.0 / 3.0
     assert coords[0] == (0.0, 0.0, 0.0)
     assert coords[1] == (third, 0.0, 0.0)
@@ -83,14 +81,14 @@ def test_grid_points_n3_reference():
 
 
 def test_grid_point_counts():
-    assert len(grid_points(GridSpec(0, 0, 1))) == 1
-    assert grid_points(GridSpec(0, 0, 1))[0][1] == (0.0, 0.0, 0.0)
-    assert len(grid_points(GridSpec(0, 0.5, 7))) == 119
+    assert len(GridSpec(0, 0, 1).points()) == 1
+    assert tuple(GridSpec(0, 0, 1).points()[0].tolist()) == (0.0, 0.0, 0.0)
+    assert len(GridSpec(0, 0.5, 7).points()) == 119
 
 
 def test_grid_shift_and_period():
     g = GridSpec(0.25, 0.5, 2, period=2.0)
-    (_, p0), *_ = grid_points(g)
+    p0 = tuple(g.points()[0].tolist())
     assert p0 == (0.25 + 0.5, 0.25 + 0.5, 0.25 + 0.5)
 
 

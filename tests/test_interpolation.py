@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -7,15 +9,13 @@ import pytest
 from altexp.domain import (GridSpec, domain_size, domain_table, enumerate_domain,
                            rotations)
 from altexp.functions import eval_E
-from altexp.interpolation import (InterpolantAlt, ParityError,
-                                  alt_coefficient_count,
+from altexp.interpolation import (InterpolantAlt, InterpolantStd, ParityError,
                                   alt_interpolate_direct,
                                   alt_interpolate_remap, eval_psi_alt,
                                   eval_psi_alt_tensor, eval_psi_std,
                                   remap_beta_to_c, remap_index,
-                                  rescale_to_period, std_grid_points,
-                                  std_interpolate)
-from altexp.transform import SampleSet, adft_forward, adft_forward_naive
+                                  std_grid_points, std_interpolate)
+from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_forward_naive
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -44,7 +44,7 @@ def random_samples(grid, seed=0):
 
 def dense_exponents_loop(interp):
     """Per-key oracle: each coefficient added onto its three label rotations."""
-    m = interp.m
+    m = interp.coeffs.m
     cube = np.zeros((2 * m + 1,) * 3, dtype=complex)
     for t, c in zip(enumerate_domain(-m, m), interp.coeffs.values):
         for k, l, mm in rotations(t):
@@ -85,7 +85,7 @@ def test_basis_function_gives_delta_coefficients():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_coefficient_count_formula(m):
     n = 2 * m + 1
-    count = alt_coefficient_count(m)
+    count = domain_size(n)
     assert count == n * (4 * m * m + 4 * m + 3) // 3
     assert count == len(enumerate_domain(-m, m))
     assert count == domain_size(n)  # degrees of freedom match constraints
@@ -148,15 +148,31 @@ def test_remap_matches_per_key_formula(n):
     want = [cmath.exp(2j * cmath.pi * ((n * g.a / g.period + g.b) * sum(c < 0 for c in t)))
             * beta.values[src[remap_index(t, big_m)]]
             for t in enumerate_domain(-big_m, big_m)]
-    got = remap_beta_to_c(beta, big_m).values
+    got = remap_beta_to_c(beta).values
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
-def test_remap_dimension_mismatch():
-    g = GridSpec(0, 0, 5)
-    beta = adft_forward(random_samples(g))
-    with pytest.raises(ValueError):
-        remap_beta_to_c(beta, 1)
+def test_lattice_parameters_live_on_the_grid():
+    # N, a, b and T are stored once, on the grid; M and the period are derived
+    names = {cls: tuple(f.name for f in dataclasses.fields(cls))
+             for cls in (CoefficientSet, InterpolantAlt, InterpolantStd)}
+    assert names == {CoefficientSet: ("grid", "role", "values"),
+                     InterpolantAlt: ("coeffs",), InterpolantStd: ("coeffs", "grid")}
+    assert list(inspect.signature(remap_beta_to_c).parameters) == ["c"]
+    g = GridSpec(0.31, 0.37, 7, 1.7)
+    interp = alt_interpolate_direct(random_samples(g, seed=61))
+    assert (interp.grid, interp.coeffs.m) == (g, 3)
+    assert adft_forward(random_samples(g, seed=62)).m is None
+    with pytest.raises(ValueError, match="odd N"):     # no M for an even N
+        CoefficientSet(GridSpec(0, 0.5, 4), "c_alt", np.ones(11, dtype=complex))
+
+
+def test_remap_even_n_rejected():
+    # M comes from the grid, so an even N has no D(-M, M) to remap onto
+    for n in (2, 6):
+        beta = adft_forward(random_samples(GridSpec(0, 0, n)))
+        with pytest.raises(ParityError, match=f"N={n}"):
+            remap_beta_to_c(beta)
 
 
 def test_eval_psi_zero_and_delta():
@@ -194,12 +210,14 @@ def test_eval_psi_matches_direct_sum(g):
     pts = rng.uniform(-3.0, 4.0, (12, 3)) * g.period
     pts[:4] = rng.uniform(0.0, 1.0, (4, 3)) * g.period
     alt = alt_interpolate_direct(random_samples(g, seed=57))
-    alt_terms = [(c, r) for t, c in zip(enumerate_domain(-alt.m, alt.m), alt.coeffs.values)
+    alt_terms = [(c, r) for t, c in zip(enumerate_domain(-alt.coeffs.m, alt.coeffs.m),
+                                        alt.coeffs.values)
                  for r in rotations(t)]
     f = rng.normal(size=(g.n,) * 3) + 1j * rng.normal(size=(g.n,) * 3)
     std = std_interpolate(g, f)
-    freqs = range(-std.m, std.m + 1)
-    std_terms = [(std.coeffs[k + std.m, l + std.m, m + std.m], (k, l, m))
+    big_m = (g.n - 1) // 2
+    freqs = range(-big_m, big_m + 1)
+    std_terms = [(std.coeffs[k + big_m, l + big_m, m + big_m], (k, l, m))
                  for k in freqs for l in freqs for m in freqs]
     for interp, evaluate, terms in ((alt, eval_psi_alt, alt_terms),
                                     (std, eval_psi_std, std_terms)):
@@ -255,18 +273,6 @@ def test_std_even_n_rejected():
         std_interpolate(GridSpec(0, 0, 2), np.ones((2, 2, 2)))
 
 
-def test_rescale_to_period():
-    g = GridSpec(0, 0.5, 3)
-    interp = alt_interpolate_direct(random_samples(g, seed=54))
-    same = rescale_to_period(interp, 1.0)
-    assert eval_psi_alt(same, (0.3, 0.1, 0.9)) == eval_psi_alt(interp, (0.3, 0.1, 0.9))
-    doubled = rescale_to_period(interp, 2.0)
-    assert eval_psi_alt(doubled, (1, 1, 1)) == pytest.approx(
-        eval_psi_alt(interp, (0.5, 0.5, 0.5)), abs=1e-13)
-    with pytest.raises(ValueError):
-        rescale_to_period(interp, 0.0)
-
-
 def test_period_grid_consistency():
     # interpolating period-2 samples matches interpolating the unit pullback
     rng = np.random.default_rng(55)
@@ -274,9 +280,9 @@ def test_period_grid_consistency():
     g2 = GridSpec(0, 0.5, 3, period=2.0)
     g1 = GridSpec(0, 0.5, 3, period=1.0)
     i2 = alt_interpolate_direct(SampleSet.from_array(g2, f))
-    i1 = rescale_to_period(alt_interpolate_direct(SampleSet.from_array(g1, f)), 2.0)
+    i1 = alt_interpolate_direct(SampleSet.from_array(g1, f))
     p = (0.62, 1.38, 0.25)
-    assert eval_psi_alt(i2, p) == pytest.approx(eval_psi_alt(i1, p), abs=1e-12)
+    assert eval_psi_alt(i2, p) == pytest.approx(eval_psi_alt(i1, np.divide(p, 2.0)), abs=1e-12)
     resid = [abs(eval_psi_alt(i2, g2.point(rst)) - v)
              for rst, v in zip(enumerate_domain(0, 2), f)]
     assert max(resid) < 1e-11

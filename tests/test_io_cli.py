@@ -9,10 +9,12 @@ from altexp import cli
 from altexp.cli import main
 from altexp.domain import GridSpec, domain_size, enumerate_domain
 from altexp.functions import eval_E
+from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct,
+                                  alt_interpolate_remap, eval_psi_alt)
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json,
                        write_samples_csv)
-from altexp.transform import SampleSet, adft_forward
+from altexp.transform import SampleSet, adft_forward, adft_forward_naive
 
 
 def run(argv):
@@ -53,6 +55,35 @@ def test_coefficients_json_round_trip():
     assert back.role == "beta"
     assert back.grid == g
     assert np.array_equal(back.values, c.values)
+
+
+BUILDERS = {
+    "beta": [adft_forward, adft_forward_naive],
+    "c_alt": [lambda s: alt_interpolate_direct(s).coeffs,
+              lambda s: alt_interpolate_remap(s).coeffs],
+}
+
+
+@pytest.mark.parametrize("role, n", [("beta", n) for n in (1, 2, 3, 5, 6, 7)]
+                         + [("c_alt", n) for n in (1, 3, 5, 7)])
+def test_library_coefficient_sets_read_back_unchanged(role, n):
+    # the file's N, M, a, b and T all come from the set's grid, so every set
+    # the library builds reads back as the same set
+    g = GridSpec(0.31, 0.37, n, 1.7)
+    rng = np.random.default_rng(82 + n)
+    s = SampleSet.from_array(g, rng.normal(size=g.point_count)
+                             + 1j * rng.normal(size=g.point_count))
+    for build in BUILDERS[role]:
+        c = build(s)
+        buf = io.StringIO()
+        write_coefficients_json(c, buf)
+        back = read_coefficients_json(io.StringIO(buf.getvalue()))
+        assert (back.grid, back.role, back.m) == (g, role, (n - 1) // 2 if role == "c_alt"
+                                                  else None)
+        assert np.array_equal(back.values.view(np.uint64), c.values.view(np.uint64))
+        if role == "c_alt":
+            p = (0.3 * g.period, 0.7 * g.period, 0.2 * g.period)
+            assert eval_psi_alt(InterpolantAlt(back), p) == eval_psi_alt(InterpolantAlt(c), p)
 
 
 def test_coefficients_json_errors():
@@ -199,7 +230,8 @@ def beta_json_obj(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("N", 4.0), ("N", True), ("N", 0), ("M", "1"), ("a", "0.31"), ("b", None),
-    ("T", float("nan")), ("k", 1.0), ("re", "0"), ("im", float("inf"))])
+    ("T", float("nan")), ("k", 1.0), ("re", "0"), ("im", float("inf")),
+    pytest.param("M", 1, id="M-int-on-beta")])
 def test_cli_inverse_rejects_malformed_field(tmp_path, capsys, field, value):
     obj = beta_json_obj(tmp_path)
     if field in ("k", "re", "im"):
@@ -427,7 +459,8 @@ def test_cli_verify_transform_checks_naive_oracle(tmp_path, seed):
     assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True}
 
 
-@pytest.mark.parametrize("spec", ["const:abc", "E:1,x,0", "sine"])
+@pytest.mark.parametrize("spec", ["const:abc", "E:1,x,0", "sine",
+                                  pytest.param(f"E:1,2,{10 ** 400}", id="E-beyond-float")])
 def test_cli_sample_names_f_in_bad_spec(tmp_path, capsys, spec):
     out = tmp_path / "s.csv"
     assert run(["sample", "--f", spec, "--N", 2, "--out", out]) == 2
@@ -459,3 +492,37 @@ def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, detail):
     assert err == f"error: out of memory running 'altexp {request}'" + (
         f": {detail}\n" if detail else "\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sample", "--f", "bump", "--N", 3, "--out", "s.csv"],
+                                  ["error-table", "--N", 3, "--out", "e.csv"]])
+@pytest.mark.parametrize("radius", ["--alpha", "--beta"])
+def test_cli_bump_refuses_infinite_radius(tmp_path, capsys, argv, radius):
+    out = tmp_path / argv[-1]
+    assert run(argv[:-1] + [out, radius, "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radii must satisfy") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_internal_error_is_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args):     # stands in for a fault of the program
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "adft_forward", broken)
+    s_csv, out = tmp_path / "s.csv", tmp_path / "b.json"
+    run(["sample", "--f", "bump", "--N", 3, "--out", s_csv])
+    capsys.readouterr()
+    assert run(["transform", "--in", s_csv, "--N", 3, "--out", out]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: something broke\n"
+    assert not out.exists()
+
+
+def test_cli_keyboard_interrupt_is_not_caught(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "GridSpec", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(["grid", "--N", 3, "--out", tmp_path / "g.csv"])

@@ -120,6 +120,13 @@ def test_bump_validation():
         BumpParams(0.2, 0.1, (0, 0, 0))
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.1, math.inf), (math.inf, math.inf),
+                                         (0.1, math.nan)])
+def test_bump_requires_finite_radii(alpha, beta):
+    with pytest.raises(ValueError, match="< inf"):
+        BumpParams(alpha, beta, (0, 0, 0))
+
+
 def test_volume_of_region():
     # exact volume of {x > z, y > z} in the cube is 1/3
     for n in (32, 64, 128):

@@ -181,6 +181,5 @@ def test_wrong_role_rejected():
     g = GridSpec(0, 0, 3)
     c = adft_forward(random_samples(g))
     c.role = "c_alt"
-    c.m = 1
     with pytest.raises(ValueError):
         adft_inverse(c)
