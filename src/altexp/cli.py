@@ -153,10 +153,7 @@ def _read_beta(fh):
 
 
 def cmd_inverse(args) -> None:
-    coeffs = _read_input(args.infile, _read_beta)
-    # an expansion that overflows is refused by the writer, in one line
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = adft_inverse(coeffs)
+    s = adft_inverse(_read_input(args.infile, _read_beta))
     with _open_outputs(args.out) as (fh,):
         altio.write_samples_csv(s, fh)
 
@@ -200,17 +197,16 @@ def cmd_verify(args) -> bool:
 
 def cmd_error_table(args) -> None:
     f = _bump_from_args(args)
-    rows = []
+    errors = []
     for n in args.N:
         g = GridSpec(args.a, args.b, n)
         interp = alt_interpolate_direct(_sample_lattice(g, f))
         quad_n = (256 if n >= 31 else 128) if args.quad_n is None else args.quad_n
-        rows.append((n, interpolation_error(f, interp, quad_n)))
+        errors.append(interpolation_error(f, interp, quad_n))
     outputs = _open_outputs(args.out) if args.out else contextlib.nullcontext([sys.stdout])
     with outputs as (out,):
-        out.write("N,error\n")
-        for n, err in rows:
-            out.write(f"{n},{err:.17g}\n")
+        write_rows(out, "N,error\n", "%d,%.17g\n", np.array(args.N)[:, None],
+                   np.array(errors)[:, None])
 
 
 def _int_at_least(lo: int):
@@ -329,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        passed = args.func(args)     # only verify returns a verdict
+        # a value that overflows is refused by the writers, in one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            passed = args.func(args)     # only verify returns a verdict
     except OSError as exc:           # the helpers set filename to the path
         msg, code = f"{exc.filename}: {exc.strerror}", EXIT_IO
     except altio.FormatError as exc:  # prefixed with the path by _read_input

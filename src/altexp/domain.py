@@ -128,6 +128,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"grid density N must be >= 1, got {self.n}")
+        if 3 * int(self.n) ** 3 * np.intp(0).itemsize > np.iinfo(np.intp).max:
+            # domain_table's (3, N, N, N) index cube has more bytes than numpy can size
+            raise ValueError(f"grid density N={self.n} is too large to index")
         if not np.isfinite(self.a):
             raise ValueError(f"lattice shift a must be finite, got {self.a}")
         if not 0.0 <= self.b <= 1.0:

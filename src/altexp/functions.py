@@ -24,12 +24,10 @@ def _is_integer_triple(t: Sequence) -> bool:
     return all(float(c).is_integer() for c in t)
 
 
-def _phase(theta, reduce_mod_1: bool):
-    # Reducing the cycle count mod 1 keeps integer-label periodicity exact
-    # to machine precision even for large coordinates.
-    if reduce_mod_1:
-        theta = np.mod(theta, 1.0)
-    return np.exp(_TWO_PI * 1j * np.asarray(theta))
+def _phase(theta):
+    # e^{2 pi i theta} has period 1 in theta, so the cycle count is reduced
+    # mod 1 for any label: the argument stays small however far p drifts.
+    return np.exp(_TWO_PI * 1j * np.mod(theta, 1.0))
 
 
 def eval_E(t: Sequence, p) -> complex:
@@ -42,14 +40,12 @@ def eval_E(t: Sequence, p) -> complex:
     lam, mu, nu = t
     p = np.asarray(p, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    reduce_ok = _is_integer_triple(t)
-    if reduce_ok:
-        # integer cycles drop out; reducing coordinates first keeps the
-        # phase argument small regardless of how far the point has drifted
+    if _is_integer_triple(t):
+        # integer cycles drop out, so the coordinates reduce mod 1 as well
         x, y, z = np.mod(x, 1.0), np.mod(y, 1.0), np.mod(z, 1.0)
-    val = (_phase(lam * x + mu * y + nu * z, reduce_ok)
-           + _phase(lam * z + mu * x + nu * y, reduce_ok)
-           + _phase(lam * y + mu * z + nu * x, reduce_ok))
+    val = (_phase(lam * x + mu * y + nu * z)
+           + _phase(lam * z + mu * x + nu * y)
+           + _phase(lam * y + mu * z + nu * x))
     if val.ndim == 0:
         return complex(val)
     return val

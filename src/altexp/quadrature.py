@@ -1,14 +1,10 @@
 """Midpoint quadrature over the fundamental region and error estimates.
 
 The region is the part of the unit cube with x > z and y > z (volume
-1/3).  Integration uses an axis-aligned midpoint rule that counts a cell
-when its center is in the region.  ``integrate_over_F`` multiplies each
-z-slab by that membership indicator.  The midpoints strictly increase,
-so the indicator of the slab at the k-th midpoint is 1 exactly on the
-block [k+1:, k+1:] of the (x, y) grid; ``interpolation_error`` evaluates
-only that block and writes it into a zeroed slab.  Cell sums rely on
-numpy's pairwise summation over each whole (n, n) slab, so results are
-deterministic and independent of any threading.
+1/3).  ``_region_sum`` holds the rule: a cell counts when its center is
+in the region.  ``integrate_over_F``, ``interpolation_error`` and
+``fundamental_volume`` sum through it; ``continuous_gram_entry`` is the
+same sum reordered.
 """
 
 from __future__ import annotations
@@ -69,61 +65,64 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def integrate_over_F(fn: Callable, n: int):
-    """Midpoint-rule integral of ``fn`` over {x > z, y > z} in the cube.
+def _region_sum(n: int, block_values: Callable):
+    """Midpoint-rule sum over {x > z, y > z}, divided by the n^3 cells.
 
-    ``fn`` must accept an (..., 3) array of points and return values of
-    matching leading shape.  Cell centers failing the membership test
-    contribute nothing; each counted cell carries weight 1/n^3.
+    The midpoints strictly increase, so the cells of the slab at the k-th
+    midpoint that lie in the region are exactly its block [k+1:, k+1:],
+    and the last slab has none.  ``block_values(k, pts)`` gets the (m, m,
+    3) cell centers of that block and returns their values.  Each slab is
+    summed whole, zero off the block, by numpy's pairwise summation, so
+    results are deterministic and independent of any threading.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     u = _midpoints(n)
-    x = u[:, None]
-    y = u[None, :]
-    slab_sums = []
     pts = np.empty((n, n, 3))
-    for t, z in enumerate(u):
-        pts[..., 0] = x
-        pts[..., 1] = y
-        pts[..., 2] = z
-        vals = np.asarray(fn(pts))
-        mask = (x > z) & (y > z)
-        slab_sums.append(np.sum(vals * mask))
+    pts[..., 0] = u[:, None]
+    pts[..., 1] = u[None, :]
+    slab_sums = []
+    for k in range(n - 1):
+        pts[k + 1:, k + 1:, 2] = u[k]
+        block = np.asarray(block_values(k, pts[k + 1:, k + 1:]))
+        slab = np.zeros((n, n), dtype=block.dtype)
+        slab[k + 1:, k + 1:] = block
+        slab_sums.append(np.sum(slab))
+    slab_sums.append(0.0)    # the last slab, empty
     return np.sum(np.asarray(slab_sums)) / n ** 3
+
+
+def integrate_over_F(fn: Callable, n: int):
+    """Midpoint-rule integral of ``fn`` over {x > z, y > z} in the cube.
+
+    ``fn`` gets (..., 3) arrays of the region's cells and returns values of
+    their leading shape."""
+    return _region_sum(n, lambda k, pts: fn(pts))
 
 
 def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     """Integral of |f - psi|^2 over the fundamental region.
 
-    The interpolant is evaluated slab-by-slab through its separable
-    tensor-grid path, so the cost is linear in the cell count.  ``f`` is
-    called only on the cells of the region, one block of a slab at a time.
+    The interpolant is evaluated on chunks of z-slabs through its
+    separable tensor-grid path, so the cost is linear in the cell count.
+    ``f`` is called only on the cells of the region, one block at a time.
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
     u = _midpoints(n)
-    slab_sums = []
-    pts = np.empty((n, n, 3))
-    pts[..., 0] = u[:, None]
-    pts[..., 1] = u[None, :]
-    chunk = max(1, (1 << 22) // (n * n))
-    for lo in range(0, n, chunk):
-        zs = u[lo:lo + chunk]
-        psi = eval_psi_alt_tensor(interp, u, u, zs)
-        for j, z in enumerate(zs):
-            k = lo + j + 1    # the cells with x > z and y > z are [k:, k:]
-            slab = np.zeros((n, n))
-            if k < n:
-                pts[k:, k:, 2] = z
-                block = np.asarray(f(pts[k:, k:])) - psi[k:, k:, j]
-                slab[k:, k:] = np.abs(block) ** 2
-            slab_sums.append(np.sum(slab))
-    return float(np.sum(np.asarray(slab_sums)) / n ** 3)
+    chunk = max(1, (1 << 22) // max(n * n, 1))    # _region_sum refuses n < 1
+    psi = None
+
+    def squared_error(k, pts):
+        nonlocal psi
+        if k % chunk == 0:
+            psi = eval_psi_alt_tensor(interp, u, u, u[k:k + chunk])
+        return np.abs(np.asarray(f(pts)) - psi[k + 1:, k + 1:, k % chunk]) ** 2
+
+    return float(_region_sum(n, squared_error))
 
 
 def _above(freq, u: np.ndarray) -> np.ndarray:
-    """S[k] = sum of e^{2 pi i freq u_j} over the midpoints u_j > u_k."""
+    """S[k] = sum of e^{2 pi i freq u_j} over the midpoints u_j > u_k: the
+    rows, and the columns, of the block ``_region_sum`` takes of slab k."""
     e = np.exp(2j * np.pi * freq * u)
     return np.concatenate([np.cumsum(e[::-1])[::-1][1:], [0.0]])
 
@@ -132,10 +131,10 @@ def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     """Quadrature estimate of the overlap of E_t and E_t' on the region.
 
     Converges to weight_g(t) when t = t' and to 0 otherwise.  The value
-    is the midpoint sum ``integrate_over_F`` takes of E_t conj(E_t'),
-    reordered: each of its nine plain exponentials e^{2 pi i (ax+by+cz)}
-    sums over the cells {x > z, y > z} as sum_k e^{2 pi i c z_k} S_a(k)
-    S_b(k), with ``_above`` suffix sums S, so the cost is O(n), not O(n^3).
+    is the ``_region_sum`` of E_t conj(E_t'), reordered: each of its nine
+    plain exponentials e^{2 pi i (ax+by+cz)} sums over the region's cells
+    as sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums
+    S, so the cost is O(n), not O(n^3).
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")

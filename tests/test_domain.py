@@ -102,6 +102,14 @@ def test_gridspec_validation():
     GridSpec(0, 1.0, 3)  # b = 1 is allowed; no deduplication against b = 0
 
 
+def test_gridspec_refuses_density_too_large_to_index():
+    # 3 N^3 intp entries fit numpy's size limit up to N = 727041
+    assert GridSpec(0, 0, 727041).n == 727041
+    for n in (727042, 10 ** 6, 2 ** 63 - 1):
+        with pytest.raises(ValueError, match=f"N={n} is too large to index"):
+            GridSpec(0, 0, n)
+
+
 def test_fundamental_domain_predicate():
     assert in_fundamental_domain((0.5, 0.5, 0.1))
     assert not in_fundamental_domain((0.1, 0.5, 0.5))

@@ -14,6 +14,7 @@ from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct,
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json,
                        write_samples_csv)
+from altexp.quadrature import interpolation_error
 from altexp.transform import SampleSet, adft_forward, adft_forward_naive
 
 
@@ -417,6 +418,58 @@ def test_cli_rejects_overflowing_lattice(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "a=" in err and "T=" in err and "overflow" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_error_table_overflowing_bump_warns_nothing(tmp_path, capsys):
+    # bump squares coordinates near 1e300, which overflow to r = inf
+    out = tmp_path / "e.csv"
+    assert run(["error-table", "--N", 3, "--quad-n", 8, "--a", 1e300, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    f = cli._bump_from_args(cli.build_parser().parse_args(["error-table", "--N", "3"]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = GridSpec(1e300, 0.5, 3)
+        err = interpolation_error(f, alt_interpolate_direct(cli._sample_lattice(g, f)), 8)
+    assert out.read_text() == f"N,error\n3,{err:.17g}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_transform_overflow_is_the_writer_refusal(tmp_path, capsys):
+    s_csv, out = tmp_path / "s.csv", tmp_path / "b.json"
+    assert run(["sample", "--f", "const:1e308+1e308j", "--N", 2, "--out", s_csv]) == 0
+    assert run(["transform", "--in", s_csv, "--N", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing to write non-finite values at (0, 0, 0)")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_error_table_refuses_non_finite_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "interpolation_error", lambda f, interp, n: float("nan"))
+    out = tmp_path / "e.csv"
+    assert run(["error-table", "--N", 3, "--N", 5, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: refusing to write non-finite values at (3,): (nan,)\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_refuses_density_too_large_to_index(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--N", 10 ** 6, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: grid density N=1000000 is too large to index\n"
+    assert not out.exists()
+
+    obj = beta_json_obj(tmp_path)
+    obj["N"] = 2 ** 63 - 1
+    big, back = tmp_path / "big.json", tmp_path / "back.csv"
+    big.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["inverse", "--in", big, "--out", back]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {big}: grid density N={2 ** 63 - 1} is too large to index\n")
+    assert not back.exists()
 
 
 @pytest.mark.parametrize("argv", [["transform", "--N", 3], ["interpolate", "--N", 3],

@@ -31,6 +31,24 @@ def bump_reference(params: BumpParams, p) -> float:
     return out
 
 
+def integrate_over_F_reference(fn, n: int):
+    """Oracle for ``integrate_over_F``: ``fn`` on every cell of each slab,
+    and the slab multiplied by the membership indicator."""
+    u = _midpoints(n)
+    x = u[:, None]
+    y = u[None, :]
+    slab_sums = []
+    pts = np.empty((n, n, 3))
+    for t, z in enumerate(u):
+        pts[..., 0] = x
+        pts[..., 1] = y
+        pts[..., 2] = z
+        vals = np.asarray(fn(pts))
+        mask = (x > z) & (y > z)
+        slab_sums.append(np.sum(vals * mask))
+    return np.sum(np.asarray(slab_sums)) / n ** 3
+
+
 def interpolation_error_reference(f, interp, n: int) -> float:
     """Oracle for ``interpolation_error``: ``f`` on every cell of each slab,
     and the slab multiplied by the membership indicator."""
@@ -135,6 +153,30 @@ def test_volume_of_region():
 
 def test_integrate_zero():
     assert integrate_over_F(lambda pts: np.zeros(pts.shape[:-1]), 16) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 33, 64])
+@pytest.mark.parametrize("fn", [
+    lambda pts: bump(FA, pts),
+    lambda pts: bump(FA, pts) + 0.5j * eval_E((1, 0, 0), pts),
+    lambda pts: eval_E((2, 1, 0), pts) * np.conj(eval_E((1, 1, 0), pts)),
+    lambda pts: np.ones(pts.shape[:-1])], ids=["bump", "bump+wave", "gram", "one"])
+def test_integrate_over_F_matches_reference_bitwise(fn, n):
+    calls = []
+
+    def in_region(pts):
+        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+        if not ((x > z) & (y > z)).all():
+            raise AssertionError("fn called outside {x > z, y > z}")
+        calls.append(pts.shape[:-1])
+        return fn(pts)
+
+    got, ref = integrate_over_F(in_region, n), integrate_over_F_reference(fn, n)
+    assert calls == [(m, m) for m in range(n - 1, 0, -1)]     # one block per slab
+    if n == 1:    # no cell center is in the region, and fn gives no dtype
+        assert got == ref == 0 and same_bits(got, np.float64(0.0))
+    else:
+        assert same_bits(got, ref)
 
 
 def test_continuous_gram_diagonal_constant():
