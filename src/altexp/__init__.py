@@ -6,19 +6,15 @@ discrete Fourier transform and its inverse, trigonometric interpolation
 identity verification suite.
 """
 
-from .domain import (GridSpec, canonicalize, domain_size, domain_table,
-                     enumerate_domain, in_fundamental_domain, is_semidominant,
-                     weight_g)
+from .domain import GridSpec, domain_table
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase, sigma_k)
 from .interpolation import (InterpolantAlt, InterpolantStd, ParityError,
-                            alt_interpolate_direct, alt_interpolate_remap,
-                            eval_psi_alt, eval_psi_alt_tensor, eval_psi_std,
-                            remap_beta_to_c, std_interpolate)
+                            alt_interpolate_direct, eval_psi_alt,
+                            eval_psi_alt_tensor, eval_psi_std, std_interpolate)
 from .quadrature import (BumpParams, bump, continuous_gram_entry,
                          integrate_over_F, interpolation_error)
 from .io import FormatError, MissingKeyError
-from .transform import (CoefficientSet, SampleSet, adft_forward, adft_inverse,
-                        discrete_gram)
+from .transform import CoefficientSet, SampleSet, adft_forward, adft_inverse
 
 __version__ = "0.1.0"

@@ -10,18 +10,13 @@ region of the unit cube cut out by x > z and y > z.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .textrows import write_rows
-
-
-def is_semidominant(t: Sequence) -> bool:
-    """True iff the triple satisfies k >= l >= m or l > k > m."""
-    k, l, m = t
-    return (k >= l >= m) or (l > k > m)
 
 
 def rotations(t: Sequence) -> list:
@@ -31,14 +26,6 @@ def rotations(t: Sequence) -> list:
     """
     k, l, m = t
     return [(k, l, m), (m, k, l), (l, m, k)]
-
-
-def canonicalize(t: Sequence) -> tuple:
-    """The unique semidominant cyclic rotation of ``t``."""
-    hits = {r for r in rotations(t) if is_semidominant(r)}
-    if len(hits) != 1:
-        raise AssertionError(f"triple {t!r} has {len(hits)} semidominant rotations")
-    return hits.pop()
 
 
 class DomainTable(NamedTuple):
@@ -80,15 +67,6 @@ def domain_table(n1: int, n2: int) -> DomainTable:
     return table
 
 
-def enumerate_domain(n1: int, n2: int) -> list:
-    """All semidominant triples with entries in {n1, ..., n2}.
-
-    Ordered lexicographically ascending on (k, l, m).  For the range
-    (0, N-1) the count is N(N^2 + 2)/3.
-    """
-    return list(map(tuple, domain_table(n1, n2).index.tolist()))
-
-
 def domain_positions(n1: int, n2: int, triples) -> np.ndarray:
     """Enumeration positions of ``triples`` in a non-empty D(n1, n2); -1 where absent."""
     table = domain_table(n1, n2)
@@ -99,17 +77,6 @@ def domain_positions(n1: int, n2: int, triples) -> np.ndarray:
     flat = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
     pos = table.pos.ravel()[flat]
     return np.where(inside & (table.rot[pos, 0] == flat), pos, -1)
-
-
-def domain_size(n: int) -> int:
-    """|D(0, N-1)| = N(N^2 + 2)/3."""
-    return n * (n * n + 2) // 3
-
-
-def weight_g(t: Sequence) -> int:
-    """Orbit-size weight: 3 if k = l = m, else 1."""
-    k, l, m = t
-    return 3 if k == l == m else 1
 
 
 @dataclass(frozen=True)
@@ -126,9 +93,12 @@ class GridSpec:
     period: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError(f"grid density N must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))   # json writes only Python ints
         if self.n < 1:
             raise ValueError(f"grid density N must be >= 1, got {self.n}")
-        if 3 * int(self.n) ** 3 * np.intp(0).itemsize > np.iinfo(np.intp).max:
+        if 3 * self.n ** 3 * np.intp(0).itemsize > np.iinfo(np.intp).max:
             # domain_table's (3, N, N, N) index cube has more bytes than numpy can size
             raise ValueError(f"grid density N={self.n} is too large to index")
         if not np.isfinite(self.a):
@@ -143,25 +113,13 @@ class GridSpec:
 
     @property
     def point_count(self) -> int:
-        return domain_size(self.n)
+        """|D(0, N-1)| = N(N^2 + 2)/3, also |D(-M, M)| for N = 2M+1."""
+        return self.n * (self.n * self.n + 2) // 3
 
     def points(self) -> np.ndarray:
         """(P, 3) array of the lattice points in enumeration order."""
         idx = domain_table(0, self.n - 1).index
         return self.a + (idx + self.b) * (self.period / self.n)
-
-    def point(self, rst: Sequence) -> tuple:
-        r, s, t = rst
-        h = self.period / self.n
-        return (self.a + (r + self.b) * h,
-                self.a + (s + self.b) * h,
-                self.a + (t + self.b) * h)
-
-
-def in_fundamental_domain(p: Sequence) -> bool:
-    """Membership in the open region {(x,y,z) in (0,1)^3 : x > z, y > z}."""
-    x, y, z = p
-    return 0.0 < x < 1.0 and 0.0 < y < 1.0 and 0.0 < z < 1.0 and x > z and y > z
 
 
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:

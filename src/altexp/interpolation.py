@@ -7,11 +7,7 @@ interpolant
                    c_{klm} E_{(k,l,m)}(x, y, z)
 
 whose coefficients are the same weighted sums as the forward transform,
-taken over the widened index range.  The coefficients can equivalently
-be obtained by remapping forward-transform output (negative index entries
-lifted by N, a lookup of the semidominant rotation in the ``pos`` cube,
-and a lattice-dependent phase, all array-wide); both paths are kept as
-mutual oracles.
+taken over the widened index range.
 
 The standard (non-alternating) interpolant on the full cubic N^3 grid is
 included as a baseline.  Both interpolants evaluate through the dense
@@ -21,14 +17,13 @@ exponent cube and the contractions of ``transform``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .domain import GridSpec, canonicalize, domain_table
+from .domain import GridSpec, domain_table
 from .transform import (CoefficientSet, SampleSet, _dense_cube, _expand_points,
                         _expand_tensor, _phase_table, _rotation_sums, _separable,
-                        _separable_spectrum, adft_forward)
+                        _separable_spectrum)
 
 
 class ParityError(ValueError):
@@ -66,37 +61,6 @@ def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     spec = _separable_spectrum(s, np.arange(-m, m + 1))
     vals = _rotation_sums(spec, domain_table(-m, m), grid.n)
     return InterpolantAlt(CoefficientSet(grid, "c_alt", vals))
-
-
-def remap_index(t: Sequence, m: int) -> tuple:
-    """Forward-transform index whose coefficient feeds c at triple ``t``.
-
-    Negative entries are lifted by N = 2M+1 and the result rotated to its
-    semidominant representative inside D(0, N-1).
-    """
-    n = 2 * m + 1
-    return canonicalize(tuple(c + n if c < 0 else c for c in t))
-
-
-def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
-    """Convert forward-transform coefficients to interpolation coefficients:
-    ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
-    if c.role != "beta":
-        raise ValueError(f"remap needs role 'beta', got {c.role!r}")
-    n, m = c.grid.n, _require_odd(c.grid.n)
-    idx = domain_table(-m, m).index
-    lifted = idx < 0
-    # Lifting an index entry by N multiplies E on the lattice by
-    # e^{2 pi i (N a + b)} per lifted slot; exact only when N a + b is an
-    # integer (e.g. the unshifted lattice), hence the correction here.
-    cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
-    src = c.table.pos[tuple((idx + n * lifted).T)]
-    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src])
-
-
-def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
-    """Interpolant via forward transform plus index remap."""
-    return InterpolantAlt(remap_beta_to_c(adft_forward(s)))
 
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:

@@ -1,0 +1,91 @@
+"""Slow and definitional routes, kept as correctness oracles.
+
+Each function here computes by the defining formula what a fast path in
+``transform`` or ``interpolation`` computes by separable contractions or
+table lookups: the naive forward sum, the discrete Gram matrix, and the
+interpolation coefficients by remapping forward-transform output.  Only
+``verify`` and the tests use them.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .domain import GridSpec, domain_table, rotations
+from .functions import eval_E
+from .interpolation import InterpolantAlt, _require_odd
+from .transform import CoefficientSet, SampleSet, _unit_coords, adft_forward
+
+
+def is_semidominant(t: Sequence) -> bool:
+    """True iff the triple satisfies k >= l >= m or l > k > m."""
+    k, l, m = t
+    return (k >= l >= m) or (l > k > m)
+
+
+def canonicalize(t: Sequence) -> tuple:
+    """The unique semidominant cyclic rotation of ``t``."""
+    hits = {r for r in rotations(t) if is_semidominant(r)}
+    if len(hits) != 1:
+        raise AssertionError(f"triple {t!r} has {len(hits)} semidominant rotations")
+    return hits.pop()
+
+
+def adft_forward_naive(s: SampleSet, role: str = "beta") -> CoefficientSet:
+    """Direct summation of the defining transform; O(P^2) in point count.
+
+    ``role`` selects the output index range: D(0, N-1) for "beta", and
+    D(-M, M), the interpolation coefficients, for "c_alt".
+    """
+    grid = s.grid
+    pts = _unit_coords(grid, s.table.index)
+    wf = (1.0 / s.table.weight) * s.values
+    out = CoefficientSet(grid, role, np.zeros(grid.point_count, dtype=complex))
+    out.values[:] = [np.sum(wf * np.conj(eval_E(t, pts))) for t in out.table.index.tolist()]
+    out.values /= out.table.weight * grid.n ** 3
+    return out
+
+
+def discrete_gram(g: GridSpec) -> np.ndarray:
+    """Weighted Gram matrix of the E functions on the lattice.
+
+    Entry (i, j) = sum over grid of G_{rst}^{-1} E_i conj(E_j); equals
+    diag(G_{klm} N^3) exactly for any lattice shift (a, b).
+    """
+    table = domain_table(0, g.n - 1)
+    pts = _unit_coords(g, table.index)
+    basis = np.stack([eval_E(t, pts) for t in table.index.tolist()])  # key x point
+    return (basis * (1.0 / table.weight)) @ np.conj(basis.T)
+
+
+def remap_index(t: Sequence, m: int) -> tuple:
+    """Forward-transform index whose coefficient feeds c at triple ``t``.
+
+    Negative entries are lifted by N = 2M+1 and the result rotated to its
+    semidominant representative inside D(0, N-1).
+    """
+    n = 2 * m + 1
+    return canonicalize(tuple(c + n if c < 0 else c for c in t))
+
+
+def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
+    """Convert forward-transform coefficients to interpolation coefficients:
+    ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
+    if c.role != "beta":
+        raise ValueError(f"remap needs role 'beta', got {c.role!r}")
+    n, m = c.grid.n, _require_odd(c.grid.n)
+    idx = domain_table(-m, m).index
+    lifted = idx < 0
+    # Lifting an index entry by N multiplies E on the lattice by
+    # e^{2 pi i (N a + b)} per lifted slot; exact only when N a + b is an
+    # integer (e.g. the unshifted lattice), hence the correction here.
+    cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
+    src = c.table.pos[tuple((idx + n * lifted).T)]
+    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src])
+
+
+def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
+    """Interpolant via forward transform plus index remap."""
+    return InterpolantAlt(remap_beta_to_c(adft_forward(s)))

@@ -2,9 +2,8 @@
 
 The region is the part of the unit cube with x > z and y > z (volume
 1/3).  ``_region_sum`` holds the rule: a cell counts when its center is
-in the region.  ``integrate_over_F``, ``interpolation_error`` and
-``fundamental_volume`` sum through it; ``continuous_gram_entry`` is the
-same sum reordered.
+in the region.  ``integrate_over_F`` and ``interpolation_error`` sum
+through it; ``continuous_gram_entry`` is the same sum reordered.
 """
 
 from __future__ import annotations
@@ -130,11 +129,12 @@ def _above(freq, u: np.ndarray) -> np.ndarray:
 def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     """Quadrature estimate of the overlap of E_t and E_t' on the region.
 
-    Converges to weight_g(t) when t = t' and to 0 otherwise.  The value
-    is the ``_region_sum`` of E_t conj(E_t'), reordered: each of its nine
-    plain exponentials e^{2 pi i (ax+by+cz)} sums over the region's cells
-    as sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums
-    S, so the cost is O(n), not O(n^3).
+    Converges to the orbit weight G of t (3 if k = l = m, else 1) when
+    t = t' and to 0 otherwise.  The value is the ``_region_sum`` of
+    E_t conj(E_t'), reordered: each of its nine plain exponentials
+    e^{2 pi i (ax+by+cz)} sums over the region's cells as
+    sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums S,
+    so the cost is O(n), not O(n^3).
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
@@ -145,8 +145,3 @@ def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
             ez = np.exp(2j * np.pi * (c1 - c2) * u)
             total += np.sum(ez * _above(a1 - a2, u) * _above(b1 - b2, u))
     return complex(total / n ** 3)
-
-
-def fundamental_volume(n: int) -> float:
-    """Quadrature estimate of the region volume (exactly 1/3 in the limit)."""
-    return float(integrate_over_F(lambda pts: np.ones(pts.shape[:-1]), n))

@@ -12,8 +12,7 @@ The forward transform factors the exponentials through 1D phase tables
 and dense separable contractions.  Every expansion of coefficients into
 values (the inverse, the interpolants) gathers them onto a dense cube of
 plain exponentials (``_dense_cube``) and contracts it (``_expand_tensor``
-on tensor grids, ``_expand_points`` at scattered points).  The direct
-sums ``adft_forward_naive`` and ``discrete_gram`` stay as oracles.
+on tensor grids, ``_expand_points`` at scattered points).
 """
 
 from __future__ import annotations
@@ -23,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainTable, GridSpec, domain_table
-from .functions import eval_E
+
+
+def _check_count(grid: GridSpec, values, what: str) -> None:
+    # D(0, N-1) and D(-M, M) both hold N(N^2 + 2)/3 triples
+    if np.shape(values) != (grid.point_count,):
+        raise ValueError(f"expected {grid.point_count} {what} for N={grid.n}, "
+                         f"got shape {np.shape(values)}")
 
 
 @dataclass
@@ -32,6 +37,9 @@ class SampleSet:
 
     grid: GridSpec
     values: np.ndarray
+
+    def __post_init__(self):
+        _check_count(self.grid, self.values, "samples")
 
     @property
     def table(self) -> DomainTable:
@@ -42,11 +50,7 @@ class SampleSet:
 
     @classmethod
     def from_array(cls, grid: GridSpec, arr) -> "SampleSet":
-        arr = np.array(arr, dtype=complex)
-        if arr.shape != (grid.point_count,):
-            raise ValueError(f"expected {grid.point_count} samples for N={grid.n}, "
-                             f"got shape {arr.shape}")
-        return cls(grid, arr)
+        return cls(grid, np.array(arr, dtype=complex))
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "SampleSet":
@@ -68,8 +72,11 @@ class CoefficientSet:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.role not in ("beta", "c_alt"):
+            raise ValueError(f"coefficient role must be 'beta' or 'c_alt', got {self.role!r}")
         if self.role == "c_alt" and self.grid.n % 2 == 0:
             raise ValueError(f"role 'c_alt' needs odd N = 2M+1, got N={self.grid.n}")
+        _check_count(self.grid, self.values, f"{self.role!r} coefficients")
 
     @property
     def m(self) -> int | None:
@@ -80,29 +87,13 @@ class CoefficientSet:
     def table(self) -> DomainTable:
         if self.role == "beta":
             return domain_table(0, self.grid.n - 1)
-        if self.role == "c_alt":
-            return domain_table(-self.m, self.m)
-        raise ValueError(f"no canonical key order for role {self.role!r}")
+        return domain_table(-self.m, self.m)
 
 
 def _unit_coords(grid: GridSpec, idx) -> np.ndarray:
     # Transforms work in unit-period pullback coordinates p / T, where
     # orthogonality on the lattice holds for any T.
     return (grid.a / grid.period) + (idx + grid.b) / grid.n
-
-
-def adft_forward_naive(s: SampleSet, out: DomainTable | None = None) -> CoefficientSet:
-    """Direct summation of the defining transform; O(P^2) in point count.
-
-    ``out`` selects the output index range (default D(0, N-1)).
-    """
-    grid = s.grid
-    pts = _unit_coords(grid, s.table.index)
-    wf = (1.0 / s.table.weight) * s.values
-    out = s.table if out is None else out
-    sums = np.array([np.sum(wf * np.conj(eval_E(t, pts)))
-                     for t in out.index.tolist()], dtype=complex)
-    return CoefficientSet(grid, "beta", sums / (out.weight * grid.n ** 3))
 
 
 def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
@@ -178,15 +169,3 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
     u = _unit_coords(c.grid, np.arange(n))
     vals = _expand_tensor(_dense_cube(c.table, c.values), np.arange(n), u, u, u)
     return SampleSet.from_array(c.grid, vals.ravel()[c.table.rot[:, 0]])
-
-
-def discrete_gram(g: GridSpec) -> np.ndarray:
-    """Weighted Gram matrix of the E functions on the lattice.
-
-    Entry (i, j) = sum over grid of G_{rst}^{-1} E_i conj(E_j); equals
-    diag(G_{klm} N^3) exactly for any lattice shift (a, b).
-    """
-    table = domain_table(0, g.n - 1)
-    pts = _unit_coords(g, table.index)
-    basis = np.stack([eval_E(t, pts) for t in table.index.tolist()])  # key x point
-    return (basis * (1.0 / table.weight)) @ np.conj(basis.T)

@@ -14,11 +14,12 @@ import numpy as np
 from mpmath import mp
 
 from . import c3
-from .domain import GridSpec, domain_size, domain_table, rotations
+from .domain import GridSpec, domain_table, rotations
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase)
-from .interpolation import alt_interpolate_direct, remap_beta_to_c
-from .transform import SampleSet, adft_forward, adft_forward_naive, discrete_gram
+from .interpolation import alt_interpolate_direct
+from .oracles import adft_forward_naive, discrete_gram, remap_beta_to_c
+from .transform import SampleSet, adft_forward
 
 FD_STEP = 1e-3  # central-difference step for the operator checks
 
@@ -201,8 +202,8 @@ def check_ew_expanded(rng, trials=20) -> CheckResult:
 def _random_samples(rng, n: int) -> SampleSet:
     """Gaussian complex samples on a randomly shifted lattice of density n."""
     g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
-    return SampleSet.from_array(g, rng.normal(size=domain_size(n))
-                                + 1j * rng.normal(size=domain_size(n)))
+    return SampleSet.from_array(g, rng.normal(size=g.point_count)
+                                + 1j * rng.normal(size=g.point_count))
 
 
 def check_forward_vs_naive(rng) -> CheckResult:

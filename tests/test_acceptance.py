@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, domain_size, enumerate_domain, weight_g
+from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
-from altexp.interpolation import (alt_interpolate_direct,
-                                  alt_interpolate_remap, eval_psi_alt)
+from altexp.interpolation import alt_interpolate_direct, eval_psi_alt
+from altexp.oracles import alt_interpolate_remap, discrete_gram
 from altexp.quadrature import (BumpParams, bump, continuous_gram_entry,
                                interpolation_error)
-from altexp.transform import SampleSet, adft_forward, adft_inverse, discrete_gram
+from altexp.transform import SampleSet, adft_forward, adft_inverse
 from altexp.verify import (check_cyclic_symmetry, check_diagonal_shift,
                            check_operator_eigenvalues, check_periodicity,
                            check_product_labels, check_product_points,
@@ -40,8 +40,7 @@ def test_criterion_1_discrete_orthogonality():
     rng = np.random.default_rng(1)
     worst = 0.0
     for n in range(1, 9):
-        keys = enumerate_domain(0, n - 1)
-        target = np.diag([float(weight_g(t)) for t in keys])
+        target = np.diag(domain_table(0, n - 1).weight.astype(float))
         for a, b in [(0.0, 0.0)] + [(rng.uniform(-1, 1), rng.uniform(0, 1))
                                     for _ in range(4)]:
             gram = discrete_gram(GridSpec(a, b, n)) / n ** 3
@@ -54,7 +53,7 @@ def test_criterion_1_discrete_orthogonality():
 
 def test_criterion_2_grid_combinatorics():
     t0 = time.time()
-    counts_ok = all(len(enumerate_domain(0, n - 1)) == n * (n * n + 2) // 3
+    counts_ok = all(len(domain_table(0, n - 1).index) == n * (n * n + 2) // 3
                     for n in range(1, 21))
     pts = GridSpec(0, 0, 3).points().tolist()
     pts_ok = len(pts) == 11 and all(
@@ -71,7 +70,7 @@ def test_criterion_3_round_trip():
     worst = 0.0
     for n in (2, 3, 5, 7, 9):
         g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
-        f = rng.normal(size=domain_size(n)) + 1j * rng.normal(size=domain_size(n))
+        f = rng.normal(size=g.point_count) + 1j * rng.normal(size=g.point_count)
         back = adft_inverse(adft_forward(SampleSet.from_array(g, f)))
         worst = max(worst, float(np.abs(back.as_array() - f).max()))
     elapsed = time.time() - t0
@@ -85,20 +84,19 @@ def test_criterion_4_interpolation():
     worst_grid, worst_remap = 0.0, 0.0
     for n in (3, 5, 7):
         g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
-        f = rng.normal(size=domain_size(n)) + 1j * rng.normal(size=domain_size(n))
+        f = rng.normal(size=g.point_count) + 1j * rng.normal(size=g.point_count)
         s = SampleSet.from_array(g, f)
         direct = alt_interpolate_direct(s)
         remapped = alt_interpolate_remap(s)
-        pts = np.array([g.point(rst) for rst in enumerate_domain(0, n - 1)])
         worst_grid = max(worst_grid,
-                         float(np.abs(eval_psi_alt(direct, pts) - f).max()))
+                         float(np.abs(eval_psi_alt(direct, g.points()) - f).max()))
         worst_remap = max(worst_remap,
                           max(abs(d - r) for d, r in zip(direct.coeffs.values,
                                                          remapped.coeffs.values,
                                                          strict=True)))
     counts_ok = all(
-        domain_size(2 * m + 1) == (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
-        and domain_size(2 * m + 1) == len(enumerate_domain(-m, m))
+        GridSpec(0, 0, 2 * m + 1).point_count == (2 * m + 1) * (4 * m * m + 4 * m + 3) // 3
+        and GridSpec(0, 0, 2 * m + 1).point_count == len(domain_table(-m, m).index)
         for m in (1, 2, 3))
     elapsed = time.time() - t0
     report(4, "interpolation proposition",
@@ -157,13 +155,14 @@ def test_criterion_7_error_table(n):
 
 def test_criterion_8_continuous_orthogonality():
     t0 = time.time()
-    keys = enumerate_domain(0, 2)
+    table = domain_table(0, 2)
+    keys = list(map(tuple, table.index.tolist()))
     worst_off, worst_diag = 0.0, 0.0
     for i, t in enumerate(keys):
         for tp in keys[i:]:
             v = continuous_gram_entry(t, tp, 128)
             if t == tp:
-                worst_diag = max(worst_diag, abs(v - weight_g(t)))
+                worst_diag = max(worst_diag, abs(v - table.weight[i]))
             else:
                 worst_off = max(worst_off, abs(v))
     elapsed = time.time() - t0

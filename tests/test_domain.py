@@ -1,14 +1,14 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from altexp.domain import (GridSpec, canonicalize, domain_positions,
-                           domain_size, domain_table, enumerate_domain,
-                           in_fundamental_domain, is_semidominant, rotations,
-                           weight_g, write_grid_csv)
+from altexp.domain import (GridSpec, domain_positions, domain_table, rotations,
+                           write_grid_csv)
 from altexp.functions import eval_E
+from altexp.oracles import canonicalize, is_semidominant
 
 N3_DOMAIN = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 2, 0),
              (2, 0, 0), (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2)]
@@ -51,28 +51,29 @@ def test_canonicalize_preserves_function():
 
 
 def test_enumerate_n3_matches_reference_list():
-    assert enumerate_domain(0, 2) == N3_DOMAIN
+    assert list(map(tuple, domain_table(0, 2).index.tolist())) == N3_DOMAIN
 
 
 def test_enumerate_edge_cases():
-    assert enumerate_domain(0, 0) == [(0, 0, 0)]
-    assert enumerate_domain(0, -1) == []
-    assert len(enumerate_domain(0, 4)) == 45
+    assert domain_table(0, 0).index.tolist() == [[0, 0, 0]]
+    assert domain_table(0, -1).index.tolist() == []
+    assert len(domain_table(0, 4).index) == 45
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_enumerate_count_formula(n):
-    assert len(enumerate_domain(0, n - 1)) == domain_size(n) == n * (n * n + 2) // 3
+    assert len(domain_table(0, n - 1).index) == GridSpec(0, 0, n).point_count \
+        == n * (n * n + 2) // 3
 
 
 def test_weight_g():
-    assert weight_g((1, 1, 1)) == 3
-    assert weight_g((2, 1, 0)) == 1
-    assert weight_g((0, 0, 0)) == 3
+    weight = domain_table(0, 2).weight[domain_positions(0, 2, [(1, 1, 1), (2, 1, 0),
+                                                              (0, 0, 0)])]
+    assert weight.tolist() == [3, 1, 3]
 
 
 def test_grid_points_n3_reference():
-    assert enumerate_domain(0, 2) == N3_DOMAIN
+    assert list(map(tuple, domain_table(0, 2).index.tolist())) == N3_DOMAIN
     coords = list(map(tuple, GridSpec(0, 0, 3).points().tolist()))
     third = 1.0 / 3.0
     assert coords[0] == (0.0, 0.0, 0.0)
@@ -100,6 +101,13 @@ def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(0, 0, 3, period=-1)
     GridSpec(0, 1.0, 3)  # b = 1 is allowed; no deduplication against b = 0
+    for n in (3.0, 2.5, "3", True):
+        with pytest.raises(ValueError, match=f"N must be an integer, got {n!r}"):
+            GridSpec(0, 0, n)
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        g = GridSpec(0, 0, n)
+        assert type(g.n) is int and g == GridSpec(0, 0, 3)    # N is written to JSON as is
+        assert g.points().shape == (11, 3)
 
 
 def test_gridspec_refuses_density_too_large_to_index():
@@ -108,13 +116,6 @@ def test_gridspec_refuses_density_too_large_to_index():
     for n in (727042, 10 ** 6, 2 ** 63 - 1):
         with pytest.raises(ValueError, match=f"N={n} is too large to index"):
             GridSpec(0, 0, n)
-
-
-def test_fundamental_domain_predicate():
-    assert in_fundamental_domain((0.5, 0.5, 0.1))
-    assert not in_fundamental_domain((0.1, 0.5, 0.5))
-    assert not in_fundamental_domain((1.0, 0.5, 0.1))
-    assert not in_fundamental_domain((0.5, 0.5, 0.5))  # boundary x > z fails
 
 
 def test_grid_csv_format():
@@ -129,9 +130,10 @@ def test_grid_csv_format():
 
 def test_domain_table_matches_enumeration_and_is_read_only():
     table = domain_table(-2, 2)
-    keys = enumerate_domain(-2, 2)
-    assert [tuple(t) for t in table.index.tolist()] == keys
-    assert table.weight.tolist() == [weight_g(t) for t in keys]
+    keys = list(map(tuple, table.index.tolist()))
+    assert keys == [t for t in itertools.product(range(-2, 3), repeat=3)
+                    if is_semidominant(t)]
+    assert table.weight.tolist() == [3 if k == l == m else 1 for k, l, m in keys]
     side = 5
     for t, row in zip(keys, table.rot.tolist()):
         flat = [((k + 2) * side + (l + 2)) * side + (m + 2)
@@ -144,12 +146,12 @@ def test_domain_table_matches_enumeration_and_is_read_only():
 
 
 def test_domain_positions():
-    keys = enumerate_domain(0, 3)
+    keys = list(map(tuple, domain_table(0, 3).index.tolist()))
     assert domain_positions(0, 3, keys).tolist() == list(range(len(keys)))
     assert domain_positions(0, 3, [(0, 1, 0), (4, 0, 0), (-1, 0, 0),
                                    (3, 2, 1)]).tolist() == [-1, -1, -1,
                                                              keys.index((3, 2, 1))]
-    keys = enumerate_domain(-2, 2)
+    keys = list(map(tuple, domain_table(-2, 2).index.tolist()))
     assert domain_positions(-2, 2, keys).tolist() == list(range(len(keys)))
     # negative entries, out of range on either side, a non-semidominant
     # rotation of a member, and an entry beyond int64
@@ -157,7 +159,7 @@ def test_domain_positions():
                                     (-1, 0, 1), (0, 1, -1), (-1, -2, -2)]).tolist() == [
         -1, -1, -1, -1, keys.index((0, 1, -1)), keys.index((-1, -2, -2))]
     assert domain_positions(0, 3, [(2 ** 63, 0, 0), (3, 2, 1)]).tolist() == [
-        -1, enumerate_domain(0, 3).index((3, 2, 1))]
+        -1, domain_table(0, 3).index.tolist().index([3, 2, 1])]
 
 
 @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 1), (0, 4), (0, 7), (-1, 1), (-3, 3)])

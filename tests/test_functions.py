@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from altexp.domain import canonicalize
 from altexp.functions import (eval_E, operator_eigenvalue,
                               point_product_identity, product_indices,
                               shift_phase, sigma_k)
+from altexp.oracles import canonicalize
 
 real3 = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * 3)
 

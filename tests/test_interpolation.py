@@ -6,16 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from altexp.domain import (GridSpec, domain_size, domain_table, enumerate_domain,
-                           rotations)
+from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
 from altexp.interpolation import (InterpolantAlt, InterpolantStd, ParityError,
-                                  alt_interpolate_direct,
-                                  alt_interpolate_remap, eval_psi_alt,
+                                  alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor, eval_psi_std,
-                                  remap_beta_to_c, remap_index,
                                   std_grid_points, std_interpolate)
-from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_forward_naive
+from altexp.oracles import (adft_forward_naive, alt_interpolate_remap,
+                            remap_beta_to_c, remap_index)
+from altexp.transform import CoefficientSet, SampleSet, adft_forward
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -46,7 +45,7 @@ def dense_exponents_loop(interp):
     """Per-key oracle: each coefficient added onto its three label rotations."""
     m = interp.coeffs.m
     cube = np.zeros((2 * m + 1,) * 3, dtype=complex)
-    for t, c in zip(enumerate_domain(-m, m), interp.coeffs.values):
+    for t, c in zip(domain_table(-m, m).index.tolist(), interp.coeffs.values):
         for k, l, mm in rotations(t):
             cube[k + m, l + m, mm + m] += c
     return cube
@@ -59,14 +58,10 @@ def psi_direct(terms, p, period):
                for c, (k, l, m) in terms)
 
 
-def grid_point_array(grid):
-    return np.array([grid.point(rst) for rst in enumerate_domain(0, grid.n - 1)])
-
-
 def test_constant_interpolates_to_third():
     g = GridSpec(0, 0.5, 3)
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: 1.0))
-    i = enumerate_domain(-1, 1).index((0, 0, 0))
+    i = domain_table(-1, 1).index.tolist().index([0, 0, 0])
     assert interp.coeffs.values[i] == pytest.approx(1 / 3, abs=1e-13)
     others = np.delete(interp.coeffs.values, i)
     assert max(abs(v) for v in others) < 1e-13
@@ -76,19 +71,20 @@ def test_constant_interpolates_to_third():
 def test_basis_function_gives_delta_coefficients():
     g = GridSpec(0, 0.5, 5)
     t0 = (1, 2, -1)
-    assert t0 in enumerate_domain(-2, 2)
+    keys = list(map(tuple, domain_table(-2, 2).index.tolist()))
+    assert t0 in keys
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: eval_E(t0, p)))
-    for k, v in zip(enumerate_domain(-2, 2), interp.coeffs.values):
+    for k, v in zip(keys, interp.coeffs.values):
         assert v == pytest.approx(1.0 if k == t0 else 0.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_coefficient_count_formula(m):
     n = 2 * m + 1
-    count = domain_size(n)
+    count = GridSpec(0, 0, n).point_count
     assert count == n * (4 * m * m + 4 * m + 3) // 3
-    assert count == len(enumerate_domain(-m, m))
-    assert count == domain_size(n)  # degrees of freedom match constraints
+    assert count == len(domain_table(-m, m).index)
+    assert count == len(domain_table(0, n - 1).index)  # degrees of freedom match constraints
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -96,7 +92,7 @@ def test_grid_residual(n):
     g = GridSpec(0, 0.5, n)
     s = random_samples(g, seed=n)
     interp = alt_interpolate_direct(s)
-    resid = np.abs(eval_psi_alt(interp, grid_point_array(g)) - s.as_array())
+    resid = np.abs(eval_psi_alt(interp, g.points()) - s.as_array())
     assert resid.max() < 1e-11
 
 
@@ -114,13 +110,13 @@ def test_remap_equals_direct(n):
     remapped = alt_interpolate_remap(s).coeffs
     for d, r in zip(direct.values, remapped.values, strict=True):
         assert abs(d - r) < 1e-12
-    naive = adft_forward_naive(s, domain_table(-(n // 2), n // 2))
+    naive = adft_forward_naive(s, role="c_alt")
     assert np.abs(direct.values - naive.values).max() < 1e-12
 
 
 def test_remap_index_matches_literal_table():
     for big_m in (1, 2, 3):
-        for t in enumerate_domain(-big_m, big_m):
+        for t in domain_table(-big_m, big_m).index.tolist():
             assert remap_index(t, big_m) == paper_remap_table(*t, big_m)
 
 
@@ -128,13 +124,13 @@ def test_remap_index_matches_literal_table():
 def test_remap_regions_partition_domain(big_m):
     # the remap must hit every forward-transform index exactly once
     n = 2 * big_m + 1
-    images = [remap_index(t, big_m) for t in enumerate_domain(-big_m, big_m)]
-    assert sorted(images) == enumerate_domain(0, n - 1)
+    images = [remap_index(t, big_m) for t in domain_table(-big_m, big_m).index.tolist()]
+    assert sorted(images) == list(map(tuple, domain_table(0, n - 1).index.tolist()))
 
 
 def test_remap_is_identity_on_nonnegative_region():
     big_m = 2
-    for t in enumerate_domain(0, big_m):
+    for t in map(tuple, domain_table(0, big_m).index.tolist()):
         assert remap_index(t, big_m) == t
 
 
@@ -144,10 +140,10 @@ def test_remap_matches_per_key_formula(n):
     big_m = n // 2
     g = GridSpec(0.31, 0.37, n, 1.7)
     beta = adft_forward(random_samples(g, seed=60 + n))
-    src = {t: i for i, t in enumerate(enumerate_domain(0, n - 1))}
+    src = {t: i for i, t in enumerate(map(tuple, domain_table(0, n - 1).index.tolist()))}
     want = [cmath.exp(2j * cmath.pi * ((n * g.a / g.period + g.b) * sum(c < 0 for c in t)))
             * beta.values[src[remap_index(t, big_m)]]
-            for t in enumerate_domain(-big_m, big_m)]
+            for t in domain_table(-big_m, big_m).index.tolist()]
     got = remap_beta_to_c(beta).values
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
@@ -179,7 +175,7 @@ def test_eval_psi_zero_and_delta():
     g = GridSpec(0, 0, 3)
     interp = alt_interpolate_direct(SampleSet.from_function(g, lambda p: 0.0))
     assert eval_psi_alt(interp, (0.3, 0.7, 0.1)) == 0
-    interp.coeffs.values[enumerate_domain(-1, 1).index((0, 0, 0))] = 0.5
+    interp.coeffs.values[domain_table(-1, 1).index.tolist().index([0, 0, 0])] = 0.5
     assert eval_psi_alt(interp, (0.9, -0.2, 0.4)) == pytest.approx(1.5, abs=1e-13)
 
 
@@ -210,8 +206,7 @@ def test_eval_psi_matches_direct_sum(g):
     pts = rng.uniform(-3.0, 4.0, (12, 3)) * g.period
     pts[:4] = rng.uniform(0.0, 1.0, (4, 3)) * g.period
     alt = alt_interpolate_direct(random_samples(g, seed=57))
-    alt_terms = [(c, r) for t, c in zip(enumerate_domain(-alt.coeffs.m, alt.coeffs.m),
-                                        alt.coeffs.values)
+    alt_terms = [(c, r) for t, c in zip(alt.coeffs.table.index.tolist(), alt.coeffs.values)
                  for r in rotations(t)]
     f = rng.normal(size=(g.n,) * 3) + 1j * rng.normal(size=(g.n,) * 3)
     std = std_interpolate(g, f)
@@ -276,13 +271,12 @@ def test_std_even_n_rejected():
 def test_period_grid_consistency():
     # interpolating period-2 samples matches interpolating the unit pullback
     rng = np.random.default_rng(55)
-    f = rng.normal(size=domain_size(3))
     g2 = GridSpec(0, 0.5, 3, period=2.0)
+    f = rng.normal(size=g2.point_count)
     g1 = GridSpec(0, 0.5, 3, period=1.0)
     i2 = alt_interpolate_direct(SampleSet.from_array(g2, f))
     i1 = alt_interpolate_direct(SampleSet.from_array(g1, f))
     p = (0.62, 1.38, 0.25)
     assert eval_psi_alt(i2, p) == pytest.approx(eval_psi_alt(i1, np.divide(p, 2.0)), abs=1e-12)
-    resid = [abs(eval_psi_alt(i2, g2.point(rst)) - v)
-             for rst, v in zip(enumerate_domain(0, 2), f)]
+    resid = [abs(eval_psi_alt(i2, p) - v) for p, v in zip(g2.points(), f)]
     assert max(resid) < 1e-11

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, enumerate_domain, weight_g
+from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
 from altexp.interpolation import (alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor)
 from altexp.quadrature import (BumpParams, _midpoints, bump, continuous_gram_entry,
-                               fundamental_volume, integrate_over_F,
-                               interpolation_error)
+                               integrate_over_F, interpolation_error)
 from altexp.transform import SampleSet
 
 FA = BumpParams(0.1, 0.2, (0.75, 0.75, 0.25))
@@ -148,7 +147,8 @@ def test_bump_requires_finite_radii(alpha, beta):
 def test_volume_of_region():
     # exact volume of {x > z, y > z} in the cube is 1/3
     for n in (32, 64, 128):
-        assert abs(fundamental_volume(n) - 1 / 3) < 3 / n
+        volume = integrate_over_F(lambda pts: np.ones(pts.shape[:-1]), n)
+        assert abs(volume - 1 / 3) < 3 / n
 
 
 def test_integrate_zero():
@@ -197,7 +197,7 @@ def test_continuous_gram_entries():
 @pytest.mark.parametrize("n", [15, 16])
 def test_continuous_gram_is_the_midpoint_sum(n):
     # the reordered sum visits the cells integrate_over_F visits
-    keys = enumerate_domain(0, 2)
+    keys = list(map(tuple, domain_table(0, 2).index.tolist()))
     pairs = [(t, tp) for i, t in enumerate(keys) for tp in keys[i:]]
     pairs.append(((0, 1, 2), (2, 0, 1)))              # not semidominant
     for t, tp in pairs:

@@ -4,11 +4,11 @@ import io
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, domain_size, enumerate_domain, weight_g
+from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
 from altexp.io import MissingKeyError, read_samples_csv, write_samples_csv
-from altexp.transform import (SampleSet, adft_forward, adft_forward_naive,
-                              adft_inverse, discrete_gram)
+from altexp.oracles import adft_forward_naive, discrete_gram
+from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_inverse
 
 
 def e_fn(t, p):
@@ -27,12 +27,11 @@ def brute_force_beta(grid, values):
     ``values`` are the samples in enumeration order.
     """
     n = grid.n
-    keys = enumerate_domain(0, n - 1)
+    keys = list(map(tuple, domain_table(0, n - 1).index.tolist()))
     out = {}
     for klm in keys:
         acc = 0j
-        for rst, v in zip(keys, values):
-            p = grid.point(rst)
+        for rst, p, v in zip(keys, grid.points().tolist(), values):
             g_rst = 3 if rst[0] == rst[1] == rst[2] else 1
             acc += v * e_fn(klm, p).conjugate() / g_rst
         g_klm = 3 if klm[0] == klm[1] == klm[2] else 1
@@ -50,7 +49,7 @@ def test_constant_transforms_to_third():
     g = GridSpec(0.2, 0.4, 4)
     s = SampleSet.from_function(g, lambda p: 1.0)
     beta = adft_forward(s)
-    i = enumerate_domain(0, 3).index((0, 0, 0))
+    i = domain_table(0, 3).index.tolist().index([0, 0, 0])
     assert beta.values[i] == pytest.approx(1 / 3, abs=1e-13)
     others = np.delete(beta.values, i)
     assert max(abs(v) for v in others) < 1e-13
@@ -61,7 +60,7 @@ def test_basis_function_transforms_to_delta():
     t0 = (3, 1, 0)
     s = SampleSet.from_function(g, lambda p: eval_E(t0, p))
     beta = adft_forward(s)
-    for k, v in zip(enumerate_domain(0, 4), beta.values):
+    for k, v in zip(map(tuple, domain_table(0, 4).index.tolist()), beta.values):
         expected = 1.0 if k == t0 else 0.0
         assert v == pytest.approx(expected, abs=1e-11)
 
@@ -71,7 +70,7 @@ def test_forward_matches_brute_force_oracle():
     s = random_samples(g, seed=11)
     oracle = brute_force_beta(g, s.values)
     for path in (adft_forward(s), adft_forward_naive(s)):
-        for k, v in zip(enumerate_domain(0, 2), path.values):
+        for k, v in zip(map(tuple, domain_table(0, 2).index.tolist()), path.values):
             assert v == pytest.approx(oracle[k], abs=1e-12)
 
 
@@ -80,7 +79,7 @@ def test_forward_matches_brute_force_oracle_shifted():
     s = random_samples(g, seed=12)
     oracle = brute_force_beta(g, s.values)
     beta = adft_forward(s)
-    for k, v in zip(enumerate_domain(0, 3), beta.values):
+    for k, v in zip(map(tuple, domain_table(0, 3).index.tolist()), beta.values):
         assert v == pytest.approx(oracle[k], abs=1e-12)
 
 
@@ -103,9 +102,9 @@ def test_round_trip(n):
 
 def brute_force_inverse(grid, values):
     """Independent oracle: f(rst) = sum of beta_klm E_klm at each lattice point."""
-    keys = enumerate_domain(0, grid.n - 1)
-    return np.array([sum(b * e_fn(klm, grid.point(rst)) for klm, b in zip(keys, values))
-                     for rst in keys])
+    keys = domain_table(0, grid.n - 1).index.tolist()
+    return np.array([sum(b * e_fn(klm, p) for klm, b in zip(keys, values))
+                     for p in grid.points().tolist()])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -119,7 +118,7 @@ def test_inverse_matches_brute_force_oracle(n):
 
 def test_inverse_of_delta():
     g = GridSpec(0, 0, 3)
-    keys = enumerate_domain(0, 2)
+    keys = list(map(tuple, domain_table(0, 2).index.tolist()))
     beta = adft_forward(SampleSet.from_function(g, lambda p: 0.0))
     beta.values[keys.index((0, 0, 0))] = 1.0
     s = adft_inverse(beta)
@@ -128,8 +127,8 @@ def test_inverse_of_delta():
     beta.values[keys.index((0, 0, 0))] = 0.0
     beta.values[keys.index((2, 1, 0))] = 1.0
     s = adft_inverse(beta)
-    for rst, v in zip(keys, s.values):
-        assert v == pytest.approx(eval_E((2, 1, 0), g.point(rst)), abs=1e-12)
+    for p, v in zip(g.points(), s.values):
+        assert v == pytest.approx(eval_E((2, 1, 0), p), abs=1e-12)
 
 
 def test_linearity():
@@ -146,8 +145,7 @@ def test_linearity():
 
 def test_gram_n3_diagonal():
     gram = discrete_gram(GridSpec(0, 0, 3))
-    keys = enumerate_domain(0, 2)
-    diag = np.array([weight_g(t) * 27 for t in keys], dtype=float)
+    diag = domain_table(0, 2).weight * 27.0
     assert np.abs(np.diagonal(gram) - diag).max() < 1e-9
     off = gram - np.diag(np.diagonal(gram))
     assert np.abs(off).max() < 1e-9
@@ -161,10 +159,31 @@ def test_gram_n1():
 
 
 def test_gram_shift_independent():
-    keys = enumerate_domain(0, 4)
-    target = np.diag([weight_g(t) * 125.0 for t in keys])
+    target = np.diag(domain_table(0, 4).weight * 125.0)
     gram = discrete_gram(GridSpec(0.37, 0.42, 5))
     assert np.abs(gram - target).max() < 1e-9
+
+
+def test_sets_refuse_a_wrong_shape_or_role():
+    g = GridSpec(0, 0, 3)
+    with pytest.raises(ValueError, match=r"expected 11 samples for N=3, got shape \(5,\)"):
+        SampleSet(g, np.zeros(5))
+    with pytest.raises(ValueError, match=r"expected 11 samples for N=3, got shape \(11, 1\)"):
+        SampleSet.from_array(g, np.zeros((11, 1)))
+    with pytest.raises(ValueError, match="role must be 'beta' or 'c_alt', got 'foo'"):
+        CoefficientSet(g, "foo", np.zeros(11, dtype=complex))
+    for role in ("beta", "c_alt"):      # both index ranges hold 11 triples at N=3
+        with pytest.raises(ValueError, match=f"expected 11 '{role}' coefficients for N=3"):
+            CoefficientSet(g, role, np.zeros(12, dtype=complex))
+
+
+def test_naive_forward_labels_its_index_range():
+    s = random_samples(GridSpec(0.31, 0.77, 5), seed=13)
+    for role, table in (("beta", domain_table(0, 4)), ("c_alt", domain_table(-2, 2))):
+        c = adft_forward_naive(s, role=role)
+        assert c.role == role and c.table is table
+    with pytest.raises(ValueError, match="odd N"):
+        adft_forward_naive(random_samples(GridSpec(0, 0, 4)), role="c_alt")
 
 
 def test_missing_sample_error_names_key():
