@@ -100,8 +100,13 @@ def _open_outputs(*paths):
     Once the body returns, each one is moved onto its output with
     ``os.replace``.  If an open fails, or the body raises, the temporary
     files are removed, so a failed command leaves no partial output and
-    any earlier file of the same name as it was.
+    any earlier file of the same name as it was.  Two outputs of one file are
+    refused before any is opened: the later move would replace the earlier.
     """
+    real = [os.path.realpath(p) for p in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise ValueError(f"{path}: names the same file as another output")
     fhs = []
     try:
         for path in paths:
@@ -243,11 +248,10 @@ def _center(text: str) -> tuple:
     return center
 
 
-def _add_grid_flags(p, default_b=0.0):
+def _add_grid_flags(p):
     p.add_argument("--N", type=int, required=True, help="grid density")
     p.add_argument("--a", type=float, default=0.0, help="lattice shift")
-    p.add_argument("--b", type=float, default=default_b,
-                   help="fractional offset in [0, 1]")
+    p.add_argument("--b", type=float, default=0.0, help="fractional offset in [0, 1]")
     p.add_argument("--T", type=float, default=1.0, help="period")
 
 

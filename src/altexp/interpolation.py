@@ -9,9 +9,9 @@ interpolant
 whose coefficients are the same weighted sums as the forward transform,
 taken over the widened index range.
 
-The standard (non-alternating) interpolant on the full cubic N^3 grid is
-included as a baseline.  Both interpolants evaluate through the dense
-exponent cube and the contractions of ``transform``.
+The coefficients form a "c_alt" ``CoefficientSet``, built and evaluated by
+the forward and expansion paths of ``transform``.  The standard
+(non-alternating) interpolant on the full cubic N^3 grid is a baseline.
 """
 
 from __future__ import annotations
@@ -20,20 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GridSpec, domain_table
-from .transform import (CoefficientSet, SampleSet, _dense_cube, _expand_points,
-                        _expand_tensor, _phase_table, _rotation_sums, _separable,
-                        _separable_spectrum)
-
-
-class ParityError(ValueError):
-    """Interpolation requires an odd grid density N = 2M+1."""
-
-
-def _require_odd(n: int) -> int:
-    if n % 2 == 0:
-        raise ParityError(f"interpolation requires odd N, got N={n}")
-    return (n - 1) // 2
+from .domain import GridSpec
+from .transform import ParityError as ParityError   # re-exported
+from .transform import (CoefficientSet, SampleSet, _expand_points, _expand_tensor,
+                        _forward, _phase_table, _require_odd, _separable)
 
 
 @dataclass
@@ -49,32 +39,23 @@ class InterpolantAlt:
     def grid(self) -> GridSpec:
         return self.coeffs.grid
 
-    def dense_exponents(self) -> np.ndarray:
-        """Coefficients of e^{2 pi i (kx+ly+mz)}, indexed k+M, l+M, m+M."""
-        return _dense_cube(self.coeffs.table, self.coeffs.values)
-
 
 def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     """Interpolation coefficients by the defining weighted sums."""
-    grid = s.grid
-    m = _require_odd(grid.n)
-    spec = _separable_spectrum(s, np.arange(-m, m + 1))
-    vals = _rotation_sums(spec, domain_table(-m, m), grid.n)
-    return InterpolantAlt(CoefficientSet(grid, "c_alt", vals))
+    return InterpolantAlt(_forward(s, "c_alt"))
 
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p."""
-    m, p = i.coeffs.m, np.asarray(p, dtype=float) / i.grid.period
-    return _expand_points(i.dense_exponents(), np.arange(-m, m + 1), p)
+    c, p = i.coeffs, np.asarray(p, dtype=float) / i.grid.period
+    return _expand_points(c._dense_cube(), c._freqs, p)
 
 
 def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     """Evaluate on the tensor grid xs x ys x zs: shape (len(xs), len(ys), len(zs)),
     in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation."""
-    m = i.coeffs.m
     xs, ys, zs = (np.asarray(c) / i.grid.period for c in (xs, ys, zs))
-    return _expand_tensor(i.dense_exponents(), np.arange(-m, m + 1), xs, ys, zs)
+    return _expand_tensor(i.coeffs, xs, ys, zs)
 
 
 @dataclass

@@ -198,6 +198,7 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
         grid = GridSpec(a, b, n, period)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    n1, n2 = (0, n - 1) if role == "beta" else (-m, m)
-    return CoefficientSet(grid, role, _place(n1, n2, (k, l, m_), values, "coeffs[{}]".format,
-                                             f"role {role!r} index range"))
+    c = CoefficientSet(grid, role, np.empty(grid.point_count, dtype=complex))
+    c.values[:] = _place(*c._range, (k, l, m_), values, "coeffs[{}]".format,
+                         f"role {role!r} index range")
+    return c

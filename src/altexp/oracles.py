@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import GridSpec, domain_table, rotations
 from .functions import eval_E
-from .interpolation import InterpolantAlt, _require_odd
+from .interpolation import InterpolantAlt
 from .transform import CoefficientSet, SampleSet, _unit_coords, adft_forward
 
 
@@ -75,15 +75,16 @@ def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
     ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
     if c.role != "beta":
         raise ValueError(f"remap needs role 'beta', got {c.role!r}")
-    n, m = c.grid.n, _require_odd(c.grid.n)
-    idx = domain_table(-m, m).index
+    out = CoefficientSet(c.grid, "c_alt", np.empty(c.grid.point_count, dtype=complex))
+    n, idx = c.grid.n, out.table.index
     lifted = idx < 0
     # Lifting an index entry by N multiplies E on the lattice by
     # e^{2 pi i (N a + b)} per lifted slot; exact only when N a + b is an
     # integer (e.g. the unshifted lattice), hence the correction here.
     cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
     src = c.table.pos[tuple((idx + n * lifted).T)]
-    return CoefficientSet(c.grid, "c_alt", np.exp(2j * np.pi * cycles) * c.values[src])
+    out.values[:] = np.exp(2j * np.pi * cycles) * c.values[src]
+    return out
 
 
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:

@@ -8,11 +8,11 @@ Forward transform of samples f on the lattice:
 with G the orbit-size weight (3 on the diagonal, 1 otherwise).  The
 inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
-The forward transform factors the exponentials through 1D phase tables
-and dense separable contractions.  Every expansion of coefficients into
-values (the inverse, the interpolants) gathers them onto a dense cube of
-plain exponentials (``_dense_cube``) and contracts it (``_expand_tensor``
-on tensor grids, ``_expand_points`` at scattered points).
+A ``CoefficientSet``'s role alone picks its index range and frequencies.
+One forward (``_forward``) fills either range by separable contractions.
+Every expansion of coefficients into values (the inverse, the interpolants)
+contracts the set's dense cube of plain exponentials (``_expand_tensor`` on
+tensor grids, ``_expand_points`` at scattered points).
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainTable, GridSpec, domain_table
+
+
+class ParityError(ValueError):
+    """Interpolation requires an odd grid density N = 2M+1."""
+
+
+def _require_odd(n: int) -> int:
+    if n % 2 == 0:
+        raise ParityError(f"interpolation requires odd N, got N={n}")
+    return (n - 1) // 2
 
 
 def _check_count(grid: GridSpec, values, what: str) -> None:
@@ -74,8 +84,8 @@ class CoefficientSet:
     def __post_init__(self):
         if self.role not in ("beta", "c_alt"):
             raise ValueError(f"coefficient role must be 'beta' or 'c_alt', got {self.role!r}")
-        if self.role == "c_alt" and self.grid.n % 2 == 0:
-            raise ValueError(f"role 'c_alt' needs odd N = 2M+1, got N={self.grid.n}")
+        if self.role == "c_alt":
+            _require_odd(self.grid.n)
         _check_count(self.grid, self.values, f"{self.role!r} coefficients")
 
     @property
@@ -84,10 +94,23 @@ class CoefficientSet:
         return (self.grid.n - 1) // 2 if self.role == "c_alt" else None
 
     @property
+    def _range(self) -> tuple:
+        """(n1, n2) of the index range D(n1, n2): (0, N-1) or (-M, M)."""
+        return -(self.m or 0), self.grid.n - 1 - (self.m or 0)
+
+    @property
     def table(self) -> DomainTable:
-        if self.role == "beta":
-            return domain_table(0, self.grid.n - 1)
-        return domain_table(-self.m, self.m)
+        return domain_table(*self._range)
+
+    @property
+    def _freqs(self) -> np.ndarray:
+        """The index values along each axis of the dense cube."""
+        return np.arange(self._range[0], self._range[1] + 1)
+
+    def _dense_cube(self) -> np.ndarray:
+        """Plain-exponential coefficients on the index cube: each cell takes
+        G times the value of its semidominant rotation, ``table.pos``."""
+        return (self.table.weight * self.values)[self.table.pos]
 
 
 def _unit_coords(grid: GridSpec, idx) -> np.ndarray:
@@ -110,27 +133,26 @@ def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
     return out.transpose(2, 1, 0)
 
 
-def _separable_spectrum(s: SampleSet, freqs: np.ndarray) -> np.ndarray:
-    """F[k,l,m] = sum_{rst} G^{-1} f e^{-2 pi i (k x_r + l y_s + m z_t)}."""
+def _forward(s: SampleSet, role: str) -> CoefficientSet:
+    """The weighted sums over the index range of ``role``: the spectrum F[k,l,m] =
+    sum_{rst} G^{-1} f e^{-2 pi i (k x_r + l y_s + m z_t)} summed over each
+    triple's three label rotations, in rotation order, divided by G N^3."""
     n = s.grid.n
+    out = CoefficientSet(s.grid, role, np.empty(s.grid.point_count, dtype=complex))
     cube = np.zeros(n ** 3, dtype=complex)                    # zeros off the domain
     cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
-    table = _phase_table(freqs, _unit_coords(s.grid, np.arange(n)))
-    return _separable(cube.reshape(n, n, n), table, table, table)
+    table = _phase_table(out._freqs, _unit_coords(s.grid, np.arange(n)))
+    terms = _separable(cube.reshape(n, n, n), table, table, table).ravel()[out.table.rot]
+    out.values[:] = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.table.weight * n ** 3)
+    return out
 
 
-def _dense_cube(table: DomainTable, values: np.ndarray) -> np.ndarray:
-    """Plain-exponential coefficients on the index cube of ``table``: each cell
-    takes G times the value of its semidominant rotation, ``table.pos``."""
-    return (table.weight * values)[table.pos]
-
-
-def _expand_tensor(cube: np.ndarray, freqs, xs, ys, zs) -> np.ndarray:
-    """out[a, b, c] = sum cube[k, l, m] e^{2 pi i (f_k xs_a + f_l ys_b + f_m zs_c)}."""
-    tx, ty, tz = (_phase_table(freqs, c, sign=1).T for c in (xs, ys, zs))
+def _expand_tensor(c: CoefficientSet, xs, ys, zs) -> np.ndarray:
+    """out[a, b, c] = sum_{klm} c_{klm} E_{(k,l,m)}(xs_a, ys_b, zs_c), unit period."""
+    tx, ty, tz = (_phase_table(c._freqs, u, sign=1).T for u in (xs, ys, zs))
     # Contract z first, then y, then x: another order changes the last
     # digits of the error-table outputs.
-    return _separable(cube.transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
+    return _separable(c._dense_cube().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
 
 
 def _expand_points(cube: np.ndarray, freqs, p):
@@ -147,25 +169,14 @@ def _expand_points(cube: np.ndarray, freqs, p):
     return complex(acc) if acc.ndim == 0 else acc
 
 
-def _rotation_sums(spec: np.ndarray, out: DomainTable, n: int) -> np.ndarray:
-    """Coefficients over ``out``: the spectrum summed over each triple's
-    three label rotations, in rotation order, divided by G N^3."""
-    terms = spec.ravel()[out.rot]
-    return (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.weight * n ** 3)
-
-
 def adft_forward(s: SampleSet) -> CoefficientSet:
     """Alternating discrete Fourier transform of a complete sample set."""
-    n = s.grid.n
-    spec = _separable_spectrum(s, np.arange(n))
-    return CoefficientSet(s.grid, "beta", _rotation_sums(spec, s.table, n))
+    return _forward(s, "beta")
 
 
 def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    n = c.grid.n
-    u = _unit_coords(c.grid, np.arange(n))
-    vals = _expand_tensor(_dense_cube(c.table, c.values), np.arange(n), u, u, u)
-    return SampleSet.from_array(c.grid, vals.ravel()[c.table.rot[:, 0]])
+    u = _unit_coords(c.grid, np.arange(c.grid.n))
+    return SampleSet.from_array(c.grid, _expand_tensor(c, u, u, u).ravel()[c.table.rot[:, 0]])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from altexp.domain import GridSpec, domain_table
-from altexp.functions import eval_E
 from altexp.interpolation import alt_interpolate_direct, eval_psi_alt
 from altexp.oracles import alt_interpolate_remap, discrete_gram
 from altexp.quadrature import (BumpParams, bump, continuous_gram_entry,

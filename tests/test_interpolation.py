@@ -96,10 +96,16 @@ def test_grid_residual(n):
     assert resid.max() < 1e-11
 
 
-def test_even_n_rejected():
-    g = GridSpec(0, 0, 4)
-    with pytest.raises(ParityError):
-        alt_interpolate_direct(random_samples(g))
+@pytest.mark.parametrize("build", [
+    lambda s: CoefficientSet(s.grid, "c_alt", s.values),
+    alt_interpolate_direct,
+    lambda s: adft_forward_naive(s, role="c_alt"),
+    lambda s: remap_beta_to_c(adft_forward(s)),
+], ids=["CoefficientSet", "alt_interpolate_direct", "adft_forward_naive", "remap_beta_to_c"])
+def test_even_n_rejected(build):
+    # every route onto D(-M, M) meets the odd-N rule as the one ParityError
+    with pytest.raises(ParityError, match="N=4"):
+        build(random_samples(GridSpec(0, 0.5, 4)))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -194,7 +200,7 @@ def test_tensor_eval_matches_pointwise():
     grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
     for g in (GridSpec(0, 0.5, 5), GridSpec(0.31, 0.37, 3), GridSpec(-0.6, 0.83, 7)):
         interp = alt_interpolate_direct(random_samples(g, seed=52))
-        assert np.array_equal(interp.dense_exponents(), dense_exponents_loop(interp))
+        assert np.array_equal(interp.coeffs._dense_cube(), dense_exponents_loop(interp))
         tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
         assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
 

@@ -329,6 +329,19 @@ def test_cli_interpolate_leaves_no_output_when_slice_out_fails(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_cli_interpolate_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    # the slice would replace the coefficients: refuse before writing either
+    s_csv, _ = sample_lines(tmp_path)
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "i.json"
+    for slice_out in (out, tmp_path / "d" / ".." / "i.json"):
+        assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
+                    "--slice", "z=0.2", "--slice-out", slice_out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {slice_out}: names the same file as another output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "s.csv"]
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_cli_error_table_rejects_nonpositive_quad_n(tmp_path, capsys, value):
     out = tmp_path / "e.csv"

@@ -1,5 +1,7 @@
 """The module layout: slow and definitional routes live in ``altexp.oracles``,
-apart from the fast paths, and only ``verify`` imports them."""
+apart from the fast paths, and only ``verify`` imports them; the coefficient
+index range is decided by ``CoefficientSet`` alone; no module imports a name
+it never uses."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import altexp
 
 SRC = Path(altexp.__file__).parent
+TESTS = Path(__file__).parent
 ORACLES = {"adft_forward_naive", "discrete_gram", "remap_index", "remap_beta_to_c",
            "alt_interpolate_remap", "canonicalize", "is_semidominant"}
 
@@ -54,3 +57,42 @@ def test_oracles_are_defined_in_one_module():
                 owners.setdefault(node.name, set()).add(p.name)
     assert owners == {name: {"oracles.py"} for name in ORACLES}
     assert not ORACLES & set(dir(altexp))
+
+
+def called(node) -> set:
+    """The names of the functions and methods called anywhere under ``node``."""
+    return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+            for c in ast.walk(node) if isinstance(c, ast.Call)
+            and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+
+def function(tree, name):
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_only_the_coefficient_set_picks_the_index_range():
+    interp = parse("interpolation.py")
+    assert "domain_table" not in called(interp)
+    assert not {"altexp.transform._dense_cube", "altexp.transform._rotation_sums",
+                "altexp.transform._separable_spectrum"} & imported(interp)
+    for module, name in (("oracles.py", "remap_beta_to_c"), ("io.py", "read_coefficients_json")):
+        assert not {"domain_table", "_require_odd"} & called(function(parse(module), name))
+
+
+def unused_imports(tree) -> list:
+    """Names ``tree`` imports and never reads; ``import x as x`` marks a re-export."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            bound.update(((a.asname or a.name).split(".")[0], node.lineno)
+                         for a in node.names if a.asname != a.name)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # package re-exports are exempt: __init__ imports only to export
+    paths = [p for p in (*SRC.glob("*.py"), *TESTS.glob("*.py")) if p.name != "__init__.py"]
+    found = {p.name: unused_imports(ast.parse(p.read_text())) for p in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
