@@ -1,7 +1,9 @@
 """Numerical verification of every algebraic identity the library relies on.
 
-Each check draws seeded random instances, evaluates both sides of an
-identity and reports the worst residual against a fixed tolerance.  The
+Every check is ``check(rng) -> CheckResult``: it draws seeded random
+instances, evaluates both sides of an identity and reports the worst
+residual against a fixed tolerance.  A false identity, the C_3 subgroup
+order and orbit table included, fails its check; nothing asserts it.  The
 CLI ``verify`` command and the acceptance tests both run through here.
 """
 
@@ -39,15 +41,15 @@ class CheckResult:
                 "tolerance": self.tolerance, "pass": bool(self.passed)}
 
 
-def _random_labels(rng, count, bound=4, integer=False):
+def _random_labels(rng, count, integer=False):
     if integer:
-        return rng.integers(-bound, bound + 1, size=(count, 3))
-    return rng.uniform(-bound, bound, size=(count, 3))
+        return rng.integers(-4, 5, size=(count, 3))
+    return rng.uniform(-4, 4, size=(count, 3))
 
 
-def check_cyclic_symmetry(rng, trials=100) -> CheckResult:
+def check_cyclic_symmetry(rng) -> CheckResult:
     worst = 0.0
-    for t in _random_labels(rng, trials):
+    for t in _random_labels(rng, 100):
         p = rng.uniform(-1, 1, 3)
         x, y, z = p
         base = eval_E(t, p)
@@ -58,18 +60,18 @@ def check_cyclic_symmetry(rng, trials=100) -> CheckResult:
     return CheckResult("cyclic_symmetry", worst, 1e-13)
 
 
-def check_periodicity(rng, trials=100) -> CheckResult:
+def check_periodicity(rng) -> CheckResult:
     worst = 0.0
-    for t in _random_labels(rng, trials, integer=True):
+    for t in _random_labels(rng, 100, integer=True):
         p = rng.uniform(-1, 1, 3)
         shift = rng.integers(-50, 50, 3)
         worst = max(worst, abs(eval_E(t, p + shift) - eval_E(t, p)))
     return CheckResult("periodicity", worst, 1e-12)
 
 
-def check_diagonal_shift(rng, trials=100) -> CheckResult:
+def check_diagonal_shift(rng) -> CheckResult:
     worst = 0.0
-    for t in _random_labels(rng, trials, integer=True):
+    for t in _random_labels(rng, 100, integer=True):
         p = rng.uniform(-1, 1, 3)
         a = rng.uniform(-2, 2)
         lhs = eval_E(t, p + a)
@@ -78,9 +80,9 @@ def check_diagonal_shift(rng, trials=100) -> CheckResult:
     return CheckResult("diagonal_shift", worst, 1e-12)
 
 
-def check_product_labels(rng, trials=100) -> CheckResult:
+def check_product_labels(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         t, tp = _random_labels(rng, 2)
         p = rng.uniform(-1, 1, 3)
         lhs = eval_E(t, p) * eval_E(tp, p)
@@ -89,9 +91,9 @@ def check_product_labels(rng, trials=100) -> CheckResult:
     return CheckResult("product_to_sum_labels", worst, 1e-12)
 
 
-def check_product_points(rng, trials=100) -> CheckResult:
+def check_product_points(rng) -> CheckResult:
     worst = 0.0
-    for t in _random_labels(rng, trials):
+    for t in _random_labels(rng, 100):
         p = rng.uniform(-1, 1, 3)
         pp = rng.uniform(-1, 1, 3)
         worst = max(worst, point_product_identity(t, p, pp))
@@ -132,9 +134,9 @@ def _fd_sigma_apply(k: int, t, p, h: float) -> complex:
         return complex(total)
 
 
-def check_operator_eigenvalues(rng, trials=20) -> CheckResult:
+def check_operator_eigenvalues(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         # Nonzero integer labels keep every sigma_k eigenvalue away from 0.
         t = rng.integers(1, 4, 3) * rng.choice([-1, 1], 3)
         p = rng.uniform(-1, 1, 3)
@@ -148,11 +150,11 @@ def check_operator_eigenvalues(rng, trials=20) -> CheckResult:
     return CheckResult("operator_eigenvalues", worst, 1e-4)
 
 
-def check_discrete_orthogonality(rng, n_max=8, shifts=5) -> CheckResult:
+def check_discrete_orthogonality(rng) -> CheckResult:
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         pairs = [(0.0, 0.0)] + [(rng.uniform(-1, 1), rng.uniform(0, 1))
-                                for _ in range(shifts - 1)]
+                                for _ in range(4)]
         target = np.diag(domain_table(0, n - 1).weight.astype(float))
         for a, b in pairs:
             gram = discrete_gram(GridSpec(a, b, n)) / n ** 3
@@ -160,16 +162,16 @@ def check_discrete_orthogonality(rng, n_max=8, shifts=5) -> CheckResult:
     return CheckResult("discrete_orthogonality", worst, 1e-9)
 
 
-def check_symmetrization(rng, trials=100) -> CheckResult:
+def check_symmetrization(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         t = rng.uniform(-4, 4, 3)
         p = rng.uniform(-1, 1, 3)
         worst = max(worst, c3.symmetrization_residual(t, p))
     return CheckResult("c3_symmetrization", worst, 1e-10)
 
 
-def check_tilde_we_order(rng=None) -> CheckResult:
+def check_tilde_we_order(rng) -> CheckResult:
     order = len(c3.generate_tilde_we())
     return CheckResult("c3_tilde_we_order", float(abs(order - 8)), 0.5)
 
@@ -188,9 +190,9 @@ def check_orbit_table(rng) -> CheckResult:
     return CheckResult("c3_orbit_table_vs_reflections", residual, 1e-10)
 
 
-def check_ew_expanded(rng, trials=20) -> CheckResult:
+def check_ew_expanded(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         lam, mu, nu = rng.uniform(-3, 3, 3)
         x, y, z = rng.uniform(-1, 1, 3)
         lhs = c3.eval_EW((lam - mu, mu - nu, nu), (x - y, y - z, 2 * z))
@@ -215,15 +217,12 @@ def check_forward_vs_naive(rng) -> CheckResult:
     return CheckResult("forward_vs_naive", worst, 1e-12)
 
 
-def check_remap_vs_direct(rng, inject_fault=False) -> CheckResult:
+def check_remap_vs_direct(rng) -> CheckResult:
     worst = 0.0
     for n in (3, 5, 7):
         s = _random_samples(rng, n)
         direct = alt_interpolate_direct(s).coeffs
-        beta = adft_forward(s)
-        if inject_fault:
-            beta.values[1] += 0.01
-        remapped = remap_beta_to_c(beta)
+        remapped = remap_beta_to_c(adft_forward(s))
         worst = max(worst, float(np.abs(direct.values - remapped.values).max()))
     return CheckResult("remap_vs_direct", worst, 1e-12)
 
@@ -239,13 +238,12 @@ ALL_CHECKS = {
 }
 
 
-def run_suite(suite: str = "all", seed: int = 0, inject_fault: bool = False) -> list:
+def run_suite(suite: str = "all", seed: int = 0) -> list:
     """Run one named suite (or all of them); returns CheckResult list."""
     if suite != "all" and suite not in ALL_CHECKS:
         raise ValueError(f"unknown verification suite {suite!r}")
     results = []
     for name in ALL_CHECKS if suite == "all" else [suite]:
         for check in ALL_CHECKS[name]:
-            fault = {"inject_fault": inject_fault} if check is check_remap_vs_direct else {}
-            results.append(check(np.random.default_rng(seed), **fault))
+            results.append(check(np.random.default_rng(seed)))
     return results

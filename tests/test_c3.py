@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from altexp import c3
 from altexp.c3 import (ORBIT_TABLE, eval_EW, eval_EW_expanded,
                        even_weyl_group, generate_tilde_we, reflection_orbit,
                        scalar_product, symmetrization_residual, we_orbit)
+from altexp.cli import main
 from altexp.functions import eval_E
 from altexp.verify import orbit_mismatch, run_suite
 
@@ -98,6 +100,14 @@ def test_symmetrization_term_count_consistency():
 def test_c3_suite_passes_where_orbit_weights_round_differently(seed):
     # these seeds put an orbit weight on a 10-digit rounding boundary
     assert all(r.passed for r in run_suite("c3", seed=seed))
+
+
+def test_a_wrong_generator_fails_the_c3_suite(monkeypatch):
+    # with r3 = 1 the generated groups are too small: a failed check, not a raise
+    monkeypatch.setattr(c3, "REFL_3", np.eye(3, dtype=int))
+    failed = {r.name for r in run_suite("c3") if not r.passed}
+    assert {"c3_tilde_we_order", "c3_orbit_table_vs_reflections"} <= failed
+    assert main(["verify", "c3"]) == 1
 
 
 def test_orbit_mismatch_rejects_a_moved_point():

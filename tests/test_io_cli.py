@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from altexp import cli
+from altexp import cli, verify
 from altexp.cli import main
 from altexp.domain import GridSpec
 from altexp.functions import eval_E
@@ -188,12 +188,18 @@ def test_cli_missing_input_exit_code(tmp_path):
                 "--out", tmp_path / "o.json"]) == 3
 
 
-def test_cli_verify_pass_and_fault(tmp_path):
+def test_cli_verify_pass_and_fault(tmp_path, monkeypatch):
     rpt = tmp_path / "r.json"
     assert run(["verify", "interpolation", "--seed", 42, "--out", rpt]) == 0
     assert json.loads(rpt.read_text())["pass"] is True
-    assert run(["verify", "interpolation", "--seed", 42, "--inject-fault",
-                "--out", rpt]) == 1
+
+    def perturbed(s):
+        beta = adft_forward(s)
+        beta.values[1] += 0.01
+        return beta
+
+    monkeypatch.setattr(verify, "adft_forward", perturbed)
+    assert run(["verify", "interpolation", "--seed", 42, "--out", rpt]) == 1
     assert json.loads(rpt.read_text())["pass"] is False
 
 

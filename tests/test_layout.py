@@ -1,14 +1,20 @@
 """The module layout: slow and definitional routes live in ``altexp.oracles``,
 apart from the fast paths, and only ``verify`` imports them; the coefficient
-index range is decided by ``CoefficientSet`` alone; no module imports a name
-it never uses."""
+index range is decided by ``CoefficientSet`` alone; every verification check
+is ``check(rng)``, and importing the CLI loads none of the verifier; no module
+imports a name it never uses."""
 
 import ast
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import altexp
+from altexp.verify import ALL_CHECKS, run_suite
 
 SRC = Path(altexp.__file__).parent
 TESTS = Path(__file__).parent
@@ -77,6 +83,22 @@ def test_only_the_coefficient_set_picks_the_index_range():
                 "altexp.transform._separable_spectrum"} & imported(interp)
     for module, name in (("oracles.py", "remap_beta_to_c"), ("io.py", "read_coefficients_json")):
         assert not {"domain_table", "_require_odd"} & called(function(parse(module), name))
+
+
+def test_every_check_takes_only_rng():
+    params = {check.__name__: list(inspect.signature(check).parameters)
+              for checks in ALL_CHECKS.values() for check in checks}
+    assert params == {name: ["rng"] for name in params}
+    assert list(inspect.signature(run_suite).parameters) == ["suite", "seed"]
+
+
+def test_importing_the_cli_loads_none_of_the_verifier():
+    code = ("import sys, altexp.cli; print(sorted({'mpmath', 'altexp.verify', "
+            "'altexp.c3', 'altexp.oracles'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def unused_imports(tree) -> list:
