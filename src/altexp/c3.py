@@ -127,12 +127,14 @@ def eval_EW_expanded(t: Sequence, p: Sequence) -> complex:
 
 
 def _closure(generators: list) -> list:
-    """Multiplicative closure of integer matrices."""
+    """Multiplicative closure of integer matrices, cut off once it holds more
+    than 48 elements (the order of the signed-permutation group): generators
+    that are not signed permutations give a group of the wrong order."""
     elems = {}
     frontier = [np.eye(3, dtype=int)] + [np.asarray(g) for g in generators]
     for g in frontier:
         elems[g.tobytes()] = g
-    while frontier:
+    while frontier and len(elems) <= 48:
         new = []
         for g in frontier:
             for h in list(elems.values()):
@@ -142,8 +144,6 @@ def _closure(generators: list) -> list:
                         elems[key] = prod
                         new.append(prod)
         frontier = new
-        if len(elems) > 48:
-            raise AssertionError("closure exceeded the full signed-permutation group")
     return list(elems.values())
 
 
@@ -159,19 +159,12 @@ def even_weyl_group() -> list:
     return _closure([REFL_1 @ REFL_2, REFL_1 @ REFL_3, REFL_2 @ REFL_3])
 
 
-def reflection_orbit(v: Sequence) -> set:
-    """Orbit of (v1, v2, v3) under the generated even subgroup.
-
-    Computed in Cartesian coordinates and mapped back to the omega-basis;
-    returned as a set of rounded triples for comparison with the table.
-    """
+def reflection_orbit(v: Sequence) -> list:
+    """Orbit of (v1, v2, v3) under the generated even subgroup, one point per
+    element: computed in Cartesian coordinates, mapped back to the omega-basis."""
     cart = _OMEGA_TO_CART @ np.asarray(v, dtype=float)
-    out = set()
     inv = np.linalg.inv(_OMEGA_TO_CART)
-    for g in even_weyl_group():
-        w = inv @ (g @ cart)
-        out.add(tuple(np.round(w, 12)))
-    return out
+    return [tuple(inv @ (g @ cart)) for g in even_weyl_group()]
 
 
 def symmetrization_residual(t: Sequence, p: Sequence) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import GridSpec
-from .transform import ParityError as ParityError   # re-exported
 from .transform import (CoefficientSet, SampleSet, _expand_points, _expand_tensor,
                         _forward, _phase_table, _require_odd, _separable)
 

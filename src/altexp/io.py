@@ -1,4 +1,4 @@
-"""File formats: sample CSV, coefficient JSON, grid CSV.
+"""File formats: sample CSV and coefficient JSON (the grid CSV is in ``domain``).
 
 Sample CSV carries the header ``r,s,t,re,im`` with one row per lattice
 index triple.  Coefficient JSON is a single object with the grid

@@ -100,13 +100,15 @@ def integrate_over_F(fn: Callable, n: int):
 
 
 def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
-    """Integral of |f - psi|^2 over the fundamental region.
+    """Integral of |f - psi|^2 over T times the fundamental region, over T^3.
 
     The interpolant is evaluated on chunks of z-slabs through its
     separable tensor-grid path, so the cost is linear in the cell count.
-    ``f`` is called only on the cells of the region, one block at a time.
+    ``f`` is called only on the cells of the region, one block at a time,
+    at their centers times the interpolant's period T.
     """
-    u = _midpoints(n)
+    period = interp.grid.period
+    u = _midpoints(n) * period
     chunk = max(1, (1 << 22) // max(n * n, 1))    # _region_sum refuses n < 1
     psi = None
 
@@ -114,7 +116,7 @@ def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
         nonlocal psi
         if k % chunk == 0:
             psi = eval_psi_alt_tensor(interp, u, u, u[k:k + chunk])
-        return np.abs(np.asarray(f(pts)) - psi[k + 1:, k + 1:, k % chunk]) ** 2
+        return np.abs(np.asarray(f(pts * period)) - psi[k + 1:, k + 1:, k % chunk]) ** 2
 
     return float(_region_sum(n, squared_error))
 

@@ -140,13 +140,15 @@ def check_operator_eigenvalues(rng) -> CheckResult:
         # Nonzero integer labels keep every sigma_k eigenvalue away from 0.
         t = rng.integers(1, 4, 3) * rng.choice([-1, 1], 3)
         p = rng.uniform(-1, 1, 3)
-        e = eval_E(t, p)
-        if abs(e) < 0.5:
+        with mp.workdps(40):
+            exact = complex(_eval_E_mp(t, p))
+        if abs(exact) < 0.5:
             continue
+        e = eval_E(t, p)
         for k in (1, 2, 3):
+            lam = operator_eigenvalue(k, t)
             fd = _fd_sigma_apply(k, t, p, FD_STEP)
-            expected = operator_eigenvalue(k, t) * e
-            worst = max(worst, abs(fd - expected) / abs(expected))
+            worst = max(worst, abs(fd - lam * e) / abs(lam * exact))
     return CheckResult("operator_eigenvalues", worst, 1e-4)
 
 

@@ -13,10 +13,10 @@ from altexp.quadrature import (BumpParams, bump, continuous_gram_entry,
 from altexp.transform import SampleSet, adft_forward, adft_inverse
 from altexp.verify import (check_cyclic_symmetry, check_diagonal_shift,
                            check_discrete_orthogonality,
-                           check_operator_eigenvalues, check_periodicity,
-                           check_product_labels, check_product_points,
-                           check_symmetrization)
-from altexp import c3
+                           check_operator_eigenvalues, check_orbit_table,
+                           check_periodicity, check_product_labels,
+                           check_product_points, check_symmetrization,
+                           check_tilde_we_order)
 
 N3_POINTS = [
     (0, 0, 0), (1 / 3, 0, 0), (1 / 3, 1 / 3, 0), (1 / 3, 1 / 3, 1 / 3),
@@ -111,10 +111,8 @@ def test_criterion_5_identity_suite():
         "symmetrization": check_symmetrization(rng).residual,
     }
     worst = max(residuals.values())
-    order_ok = len(c3.generate_tilde_we()) == 8
-    v = rng.normal(size=3)
-    orbit_ok = ({tuple(np.round(w, 10)) for w in c3.we_orbit(v)}
-                == {tuple(np.round(w, 10)) for w in c3.reflection_orbit(v)})
+    order_ok = check_tilde_we_order(rng).passed
+    orbit_ok = check_orbit_table(rng).passed   # takes the rng.normal(size=3) draw
     elapsed = time.time() - t0
     report(5, "identity suite",
            worst < 1e-10 and order_ok and orbit_ok and elapsed < 5,

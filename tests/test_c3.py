@@ -28,8 +28,7 @@ def test_orbit_table_matches_reflection_generation():
     rng = np.random.default_rng(61)
     for _ in range(3):
         v = rng.normal(size=3)
-        table = {tuple(np.round(w, 10)) for w in we_orbit(v)}
-        assert table == {tuple(np.round(w, 10)) for w in reflection_orbit(v)}
+        assert orbit_mismatch(we_orbit(v), reflection_orbit(v)) < 1e-10
 
 
 def test_scalar_product_values():
@@ -102,9 +101,11 @@ def test_c3_suite_passes_where_orbit_weights_round_differently(seed):
     assert all(r.passed for r in run_suite("c3", seed=seed))
 
 
-def test_a_wrong_generator_fails_the_c3_suite(monkeypatch):
-    # with r3 = 1 the generated groups are too small: a failed check, not a raise
-    monkeypatch.setattr(c3, "REFL_3", np.eye(3, dtype=int))
+@pytest.mark.parametrize("refl_3", [np.eye(3, dtype=int), np.diag([1, 1, 2])],
+                         ids=["identity", "not-a-signed-permutation"])
+def test_a_wrong_generator_fails_the_c3_suite(monkeypatch, refl_3):
+    # the generated groups have the wrong order: a failed check, not a raise
+    monkeypatch.setattr(c3, "REFL_3", refl_3)
     failed = {r.name for r in run_suite("c3") if not r.passed}
     assert {"c3_tilde_we_order", "c3_orbit_table_vs_reflections"} <= failed
     assert main(["verify", "c3"]) == 1

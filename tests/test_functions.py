@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from altexp.functions import (eval_E, operator_eigenvalue,
                               point_product_identity, product_indices,
                               shift_phase, sigma_k)
+from altexp import verify
 from altexp.oracles import canonicalize
 
 real3 = st.tuples(*[st.floats(-4, 4, allow_nan=False)] * 3)
@@ -131,3 +132,11 @@ def test_operator_eigenvalue_examples():
     assert operator_eigenvalue(1, (1, 0, 0)) == pytest.approx(-4 * math.pi ** 2)
     assert operator_eigenvalue(1, (0, 0, 0)) == 0
     assert operator_eigenvalue(2, (1, 1, 1)) == pytest.approx(48 * math.pi ** 4)
+
+
+def test_a_vanishing_E_fails_the_operator_check(monkeypatch):
+    # E = 0 satisfies the other identities; the operator check is scaled by
+    # the mpmath value, so the code under test cannot skip its draws
+    monkeypatch.setattr(verify, "eval_E", lambda t, p: 0j)
+    failed = {r.name for r in verify.run_suite("identities") if not r.passed}
+    assert "operator_eigenvalues" in failed

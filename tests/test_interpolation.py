@@ -8,13 +8,13 @@ import pytest
 
 from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
-from altexp.interpolation import (InterpolantAlt, InterpolantStd, ParityError,
+from altexp.interpolation import (InterpolantAlt, InterpolantStd,
                                   alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor, eval_psi_std,
                                   std_grid_points, std_interpolate)
 from altexp.oracles import (adft_forward_naive, alt_interpolate_remap,
                             remap_beta_to_c, remap_index)
-from altexp.transform import CoefficientSet, SampleSet, adft_forward
+from altexp.transform import CoefficientSet, ParityError, SampleSet, adft_forward
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -272,6 +272,11 @@ def test_std_interpolation_grid_residual():
 def test_std_even_n_rejected():
     with pytest.raises(ParityError):
         std_interpolate(GridSpec(0, 0, 2), np.ones((2, 2, 2)))
+
+
+def test_std_wrong_sample_shape_rejected():
+    with pytest.raises(ValueError, match=r"expected samples of shape \(3, 3, 3\), got \(3, 3\)"):
+        std_interpolate(GridSpec(0, 0, 3), np.ones((3, 3)))
 
 
 def test_period_grid_consistency():

@@ -233,6 +233,20 @@ def test_error_decreases_with_density():
     assert errs[1] < errs[0]
 
 
+def _stretched_bump_error(period):
+    f = lambda pts: bump(FA, np.asarray(pts) / period)
+    g = GridSpec(0, 0.37, 7, period=period)
+    s = SampleSet.from_array(g, f(g.points()).astype(complex))
+    return interpolation_error(f, alt_interpolate_direct(s), 64)
+
+
+@pytest.mark.parametrize("period", [2.0, 1.7])
+def test_interpolation_error_scales_with_the_period(period):
+    # the bump stretched to period T, sampled on the stretched lattice, has
+    # the error of the unit case: the region stretches with them
+    assert abs(_stretched_bump_error(period) - _stretched_bump_error(1.0)) < 1e-12
+
+
 def _bump_lattice_interpolant(n, a=0.0, b=0.5):
     g = GridSpec(a, b, n)
     return alt_interpolate_direct(
