@@ -6,10 +6,12 @@ exception into one ``error:`` line and an exit code: 0 success, 1
 verification failure (any failed check, the C_3 group orders included),
 2 usage error, 3 I/O or format error, naming the file, 4 out of memory,
 naming the command line, 5 any other internal error, naming the
-exception type.  The commands run the fast paths only; ``verify
-transform`` and ``verify interpolation`` check them against the
-naive-sum and remap oracles.  ``verify`` has no fault switch: the tests
-inject faults by monkeypatching.
+exception type, 6 numerical failure: valid input whose result is not
+finite, refused by the writer, which names the first bad row.  The
+commands run the fast paths only; ``verify transform`` and ``verify
+interpolation`` check them against the naive-sum and remap oracles.
+``verify`` has no fault switch: the tests inject faults by
+monkeypatching.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import io as altio
 from .domain import GridSpec, write_grid_csv
 from .interpolation import InterpolantAlt, alt_interpolate_direct, eval_psi_alt_tensor
 from .quadrature import BumpParams, bump, interpolation_error
-from .textrows import write_rows
+from .textrows import NonFiniteError, refuse_non_finite, write_cells, write_rows
 from .transform import SampleSet, adft_forward, adft_inverse
 
 EXIT_OK = 0
@@ -36,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_MEMORY = 4
 EXIT_INTERNAL = 5
+EXIT_NUMERIC = 6
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -173,9 +176,11 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
     g = interp.grid
     coords = g.a + (np.arange(res) + 0.5) * (g.period / res)
     vals = eval_psi_alt_tensor(interp, coords, coords, np.array([z])).ravel()
-    xy = np.column_stack([np.repeat(coords, res), np.tile(coords, res)])
-    write_rows(fh, "x,y,re,im\n", "%.17g,%.17g,%.17g,%.17g\n", xy,
-               np.column_stack([vals.real, vals.imag]))
+    text = np.array(["%.17g," % c for c in coords.tolist()], dtype=object)   # each formatted once
+    xy, xy_text = (np.column_stack([np.repeat(c, res), np.tile(c, res)]) for c in (coords, text))
+    parts = np.column_stack([vals.real, vals.imag])
+    refuse_non_finite(xy, parts)
+    write_cells(fh, "x,y,re,im\n", "%s%s%.17g,%.17g\n", xy_text, parts)
 
 
 def cmd_interpolate(args) -> None:
@@ -336,6 +341,8 @@ def main(argv=None) -> int:
         msg, code = f"{exc.filename}: {exc.strerror}", EXIT_IO
     except altio.FormatError as exc:  # prefixed with the path by _read_input
         msg, code = str(exc), EXIT_IO
+    except NonFiniteError as exc:    # valid input whose result overflowed
+        msg, code = str(exc), EXIT_NUMERIC
     except ValueError as exc:
         msg, code = str(exc), EXIT_USAGE
     except MemoryError as exc:       # a request too large for this host

@@ -5,6 +5,10 @@ or l > k > m.  Exactly one of the three cyclic rotations of any triple is
 semidominant, so semidominant triples are canonical representatives of
 cyclic label orbits.  The grids sampled here live inside the fundamental
 region of the unit cube cut out by x > z and y > z.
+
+A lattice has N distinct coordinates per axis (``GridSpec._axis``), which
+its points gather by index.  The grid CSV is assembled from per-axis
+strings: each coordinate and index is formatted once, not once per row.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .textrows import write_rows
+from .textrows import BLOCK, refuse_non_finite
 
 
 def rotations(t: Sequence) -> list:
@@ -116,13 +120,33 @@ class GridSpec:
         """|D(0, N-1)| = N(N^2 + 2)/3, also |D(-M, M)| for N = 2M+1."""
         return self.n * (self.n * self.n + 2) // 3
 
+    def _axis(self) -> np.ndarray:
+        """The N coordinates a + (r + b) T/N, r = 0..N-1, shared by all three axes."""
+        return self.a + (np.arange(self.n) + self.b) * (self.period / self.n)
+
     def points(self) -> np.ndarray:
         """(P, 3) array of the lattice points in enumeration order."""
-        idx = domain_table(0, self.n - 1).index
-        return self.a + (idx + self.b) * (self.period / self.n)
+        return self._axis()[domain_table(0, self.n - 1).index]
 
 
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
-    """Grid export: header ``r,s,t,x,y,z``, coordinates at 17 significant digits."""
-    write_rows(fh, "r,s,t,x,y,z\n", "%d,%d,%d,%.17g,%.17g,%.17g\n",
-               domain_table(0, g.n - 1).index, g.points())
+    """Grid export: header ``r,s,t,x,y,z``, coordinates at 17 significant digits.
+
+    Row (r, s, t) is the text of its (r, s) pair, ``"r,s,"`` and
+    ``"x_r,x_s,"``, around that of its t, ``"t,"`` and ``"x_t\\n"``, taken from
+    tables formatted once; the rows go out ``BLOCK`` at a time.
+    """
+    index, x = domain_table(0, g.n - 1).index, g._axis()
+    if not np.isfinite(x).all():
+        refuse_non_finite(index, x[index])
+    ids = ["%d," % r for r in range(g.n)]
+    xs = ["%.17g" % v for v in x.tolist()]
+    pair_ids = np.array([i + j for i in ids for j in ids], dtype=object)
+    pair_xs = np.array([f"{u},{v}," for u in xs for v in xs], dtype=object)
+    t_ids, t_xs = np.array(ids, dtype=object), np.array([v + "\n" for v in xs], dtype=object)
+    fh.write("r,s,t,x,y,z\n")
+    for start in range(0, len(index), BLOCK):
+        r, s, t = index[start:start + BLOCK].T
+        rs = r * g.n + s
+        cells = np.column_stack([pair_ids[rs], t_ids[t], pair_xs[rs], t_xs[t]])
+        fh.write("".join(cells.ravel().tolist()))

@@ -68,8 +68,7 @@ class InterpolantStd:
 
 def std_grid_points(grid: GridSpec):
     """1D coordinates of the full cubic lattice (shared along all axes)."""
-    r = np.arange(grid.n)
-    return grid.a + (r + grid.b) * (grid.period / grid.n)
+    return grid._axis()
 
 
 def std_interpolate(grid: GridSpec, samples) -> InterpolantStd:

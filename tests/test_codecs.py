@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from altexp.cli import _write_slice_csv, main
 from altexp.domain import GridSpec, domain_positions, domain_table, write_grid_csv
-from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
+from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor, std_grid_points
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json, write_samples_csv)
-from altexp.textrows import BLOCK
+from altexp.textrows import BLOCK, write_rows
 from altexp.transform import CoefficientSet, SampleSet
 
 SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.5e-8, 1e16,
@@ -65,6 +65,13 @@ def old_write_slice_csv(interp, z, res, fh):
         for j, y in enumerate(coords):
             v = vals[i, j]
             fh.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
+
+
+def grid_reference(g, fh):
+    """The grid writer before per-axis strings: every coordinate through the
+    block formatter, 3P ``%.17g`` conversions."""
+    write_rows(fh, "r,s,t,x,y,z\n", "%d,%d,%d,%.17g,%.17g,%.17g\n",
+               domain_table(0, g.n - 1).index, g.points())
 
 
 def text_of(write, *args):
@@ -260,6 +267,37 @@ def test_writers_stream_in_blocks():
     assert "".join(fh.chunks) == text_of(old_write_samples_csv, s)
     assert max(c.count("\n") for c in fh.chunks) == BLOCK
     assert len(fh.chunks) > g.point_count // BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 25])
+@pytest.mark.parametrize("a", [0, 0.31, -0.9, 1e300])
+def test_grid_writer_matches_reference(n, a):
+    # N=25 has 5225 rows, more than one block
+    for b in (0, 0.37, 1):
+        for period in (1, 1.7):
+            g = GridSpec(a, b, n, period)
+            assert text_of(write_grid_csv, g) == text_of(grid_reference, g)
+
+
+def test_grid_writer_streams_in_blocks():
+    g = GridSpec(0.31, 0.37, 31)
+    fh = Chunks()
+    write_grid_csv(g, fh)
+    assert "".join(fh.chunks) == text_of(grid_reference, g)
+    assert max(c.count("\n") for c in fh.chunks) <= BLOCK
+    assert len(fh.chunks) > g.point_count // BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+@pytest.mark.parametrize("a, b, period", [(0, 0, 1), (0.31, 0.37, 1), (-0.9, 1, 1.7),
+                                          (1e300, 0.37, 1.7)])
+def test_lattice_coordinates_keep_their_bits(n, a, b, period):
+    g = GridSpec(a, b, n, period)
+    index = domain_table(0, n - 1).index
+    points = a + (index + b) * (period / n)
+    assert np.array_equal(g.points().view(np.uint64), points.view(np.uint64))
+    axis = a + (np.arange(n) + b) * (period / n)
+    assert np.array_equal(std_grid_points(g).view(np.uint64), axis.view(np.uint64))
 
 
 # ----------------------------------------------------------------- readers

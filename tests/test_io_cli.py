@@ -361,13 +361,13 @@ def test_cli_error_table_rejects_nonpositive_quad_n(tmp_path, capsys, value):
 
 @pytest.mark.filterwarnings("error")
 def test_cli_inverse_refuses_non_finite_samples(tmp_path, capsys):
-    # finite coefficients whose expansion overflows: exit 2, no output file
+    # finite coefficients whose expansion overflows: a numerical failure, no output file
     obj = beta_json_obj(tmp_path)
     for c in obj["coeffs"]:
         c["re"] = 1e308
     bad, out = tmp_path / "big.json", tmp_path / "back.csv"
     bad.write_text(json.dumps(obj))
-    assert run(["inverse", "--in", bad, "--out", out]) == 2
+    assert run(["inverse", "--in", bad, "--out", out]) == cli.EXIT_NUMERIC == 6
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -403,7 +403,7 @@ def test_cli_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
     for c in obj["coeffs"]:
         c["re"] = 1e308
     b_json.write_text(json.dumps(obj))
-    assert run(["inverse", "--in", b_json, "--out", back]) == 2
+    assert run(["inverse", "--in", b_json, "--out", back]) == cli.EXIT_NUMERIC
     assert back.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "b.json", "back.csv", "c.csv", "i.json", "s.csv"]
@@ -456,7 +456,7 @@ def test_cli_error_table_overflowing_bump_warns_nothing(tmp_path, capsys):
 def test_cli_transform_overflow_is_the_writer_refusal(tmp_path, capsys):
     s_csv, out = tmp_path / "s.csv", tmp_path / "b.json"
     assert run(["sample", "--f", "const:1e308+1e308j", "--N", 2, "--out", s_csv]) == 0
-    assert run(["transform", "--in", s_csv, "--N", 2, "--out", out]) == 2
+    assert run(["transform", "--in", s_csv, "--N", 2, "--out", out]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("error: refusing to write non-finite values at (0, 0, 0)")
     assert err.count("\n") == 1
@@ -467,7 +467,7 @@ def test_cli_transform_overflow_is_the_writer_refusal(tmp_path, capsys):
 def test_cli_error_table_refuses_non_finite_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "interpolation_error", lambda f, interp, n: float("nan"))
     out = tmp_path / "e.csv"
-    assert run(["error-table", "--N", 3, "--N", 5, "--out", out]) == 2
+    assert run(["error-table", "--N", 3, "--N", 5, "--out", out]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err == "error: refusing to write non-finite values at (3,): (nan,)\n"
     assert not out.exists()
