@@ -127,14 +127,14 @@ def eval_EW_expanded(t: Sequence, p: Sequence) -> complex:
 
 
 def _closure(generators: list) -> list:
-    """Multiplicative closure of integer matrices, cut off once it holds more
-    than 48 elements (the order of the signed-permutation group): generators
+    """Multiplicative closure of integer matrices, cut off at the 49th element
+    (one more than the order of the signed-permutation group): generators
     that are not signed permutations give a group of the wrong order."""
     elems = {}
     frontier = [np.eye(3, dtype=int)] + [np.asarray(g) for g in generators]
     for g in frontier:
         elems[g.tobytes()] = g
-    while frontier and len(elems) <= 48:
+    while frontier:
         new = []
         for g in frontier:
             for h in list(elems.values()):
@@ -143,6 +143,8 @@ def _closure(generators: list) -> list:
                     if key not in elems:
                         elems[key] = prod
                         new.append(prod)
+                        if len(elems) > 48:
+                            return list(elems.values())
         frontier = new
     return list(elems.values())
 

@@ -1,4 +1,4 @@
-"""Trigonometric interpolation: alternating and standard 3D variants.
+"""Alternating trigonometric interpolation in three variables.
 
 For odd N = 2M+1, samples on the shifted lattice determine a unique
 interpolant
@@ -10,8 +10,9 @@ whose coefficients are the same weighted sums as the forward transform,
 taken over the widened index range.
 
 The coefficients form a "c_alt" ``CoefficientSet``, built and evaluated by
-the forward and expansion paths of ``transform``.  The standard
-(non-alternating) interpolant on the full cubic N^3 grid is a baseline.
+the forward and expansion paths of ``transform``.  On cyclically symmetric
+data the standard interpolant on the full N^3 cube is the same function;
+``oracles.std_coefficient_cube`` computes its coefficients as a check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import GridSpec
-from .transform import (CoefficientSet, SampleSet, _expand_points, _expand_tensor,
-                        _forward, _phase_table, _require_odd, _separable)
+from .transform import CoefficientSet, SampleSet, _expand_points, _expand_tensor, _forward
 
 
 @dataclass
@@ -46,8 +46,7 @@ def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p."""
-    c, p = i.coeffs, np.asarray(p, dtype=float) / i.grid.period
-    return _expand_points(c._dense_cube(), c._freqs, p)
+    return _expand_points(i.coeffs, np.asarray(p, dtype=float) / i.grid.period)
 
 
 def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
@@ -56,36 +55,3 @@ def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     xs, ys, zs = (np.asarray(c) / i.grid.period for c in (xs, ys, zs))
     return _expand_tensor(i.coeffs, xs, ys, zs)
 
-
-@dataclass
-class InterpolantStd:
-    """Standard trigonometric interpolant: dense (2M+1)^3 coefficients,
-    with M and the period T taken from the grid, N = 2M+1."""
-
-    coeffs: np.ndarray                      # indexed k+M, l+M, m+M
-    grid: GridSpec
-
-
-def std_grid_points(grid: GridSpec):
-    """1D coordinates of the full cubic lattice (shared along all axes)."""
-    return grid._axis()
-
-
-def std_interpolate(grid: GridSpec, samples) -> InterpolantStd:
-    """Interpolate samples on the full N^3 cubic lattice.
-
-    ``samples`` is an (N, N, N) array indexed (r, s, t).  Coefficients
-    are c_{klm} = N^{-3} sum f e^{-2 pi i (k x_r + l y_s + m z_t)}.
-    """
-    m = _require_odd(grid.n)
-    f = np.asarray(samples, dtype=complex)
-    if f.shape != (grid.n,) * 3:
-        raise ValueError(f"expected samples of shape {(grid.n,) * 3}, got {f.shape}")
-    table = _phase_table(np.arange(-m, m + 1), std_grid_points(grid) / grid.period)
-    return InterpolantStd(_separable(f, table, table, table) / grid.n ** 3, grid)
-
-
-def eval_psi_std(i: InterpolantStd, p) -> complex:
-    """Evaluate the standard interpolant at point(s) p."""
-    m, p = _require_odd(i.grid.n), np.asarray(p, dtype=float) / i.grid.period
-    return _expand_points(i.coeffs, np.arange(-m, m + 1), p)

@@ -2,9 +2,9 @@
 
 Each function here computes by the defining formula what a fast path in
 ``transform`` or ``interpolation`` computes by separable contractions or
-table lookups: the naive forward sum, the discrete Gram matrix, and the
-interpolation coefficients by remapping forward-transform output.  Only
-``verify`` and the tests use them.
+table lookups: the naive forward sum, the discrete Gram matrix, the remapped
+forward-transform output and the standard interpolant on the full N^3 cube.
+Only ``verify`` and the tests use them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .domain import GridSpec, domain_table, rotations
 from .functions import eval_E
 from .interpolation import InterpolantAlt
-from .transform import CoefficientSet, SampleSet, _unit_coords, adft_forward
+from .transform import CoefficientSet, SampleSet, _require_odd, _unit_coords, adft_forward
 
 
 def is_semidominant(t: Sequence) -> bool:
@@ -90,3 +90,19 @@ def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
 def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
     """Interpolant via forward transform plus index remap."""
     return InterpolantAlt(remap_beta_to_c(adft_forward(s)))
+
+
+def std_coefficient_cube(grid: GridSpec, cube) -> np.ndarray:
+    """The standard interpolant's coefficients C[k+M, l+M, m+M] = N^{-3} sum_{rst}
+    f_{rst} e^{-2 pi i (k x_r + l x_s + m x_t) / T} of an (N, N, N) sample cube f
+    on the full lattice of ``grid``, N = 2M+1, by three plain contractions that
+    share no table or helper with the alternating path.  For cyclically
+    symmetric f this is the alternating interpolant's dense cube."""
+    m = _require_odd(grid.n)
+    f = np.asarray(cube, dtype=complex)
+    if f.shape != (grid.n,) * 3:
+        raise ValueError(f"expected samples of shape {(grid.n,) * 3}, got {f.shape}")
+    e = np.exp(-2j * np.pi * np.arange(-m, m + 1)[:, None] * (grid._axis() / grid.period))
+    f = np.einsum("kr,rst->kst", e, f)
+    f = np.einsum("ls,kst->klt", e, f)
+    return np.einsum("mt,klt->klm", e, f) / grid.n ** 3

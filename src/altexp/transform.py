@@ -10,7 +10,7 @@ inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
 A ``CoefficientSet``'s role alone picks its index range and frequencies.
 One forward (``_forward``) fills either range by separable contractions.
-Every expansion of coefficients into values (the inverse, the interpolants)
+Every expansion of coefficients into values (the inverse, the interpolant)
 contracts the set's dense cube of plain exponentials (``_expand_tensor`` on
 tensor grids, ``_expand_points`` at scattered points).
 """
@@ -155,17 +155,17 @@ def _expand_tensor(c: CoefficientSet, xs, ys, zs) -> np.ndarray:
     return _separable(c._dense_cube().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
 
 
-def _expand_points(cube: np.ndarray, freqs, p):
-    """sum_{klm} cube[k, l, m] e^{2 pi i (f_k x + f_l y + f_m z)} at point(s) p.
+def _expand_points(c: CoefficientSet, p):
+    """sum_{klm} c_{klm} E_{(k,l,m)}(p) at point(s) p, unit period.
 
-    ``p`` (a point or an (..., 3) array, unit period) is reduced mod 1, which
-    is exact for integer frequencies, as in ``eval_E``.  One k-plane at a
-    time keeps memory at O(points * len(freqs)).
+    ``p`` (a point or an (..., 3) array) is reduced mod 1, which is exact
+    for integer frequencies, as in ``eval_E``.  One k-plane of the dense cube
+    at a time keeps memory at O(points * (2M+1)).
     """
     p = np.mod(np.asarray(p, dtype=float), 1.0)
-    ex, ey, ez = (_phase_table(freqs, c, sign=1).T for c in p.reshape(-1, 3).T)
+    ex, ey, ez = (_phase_table(c._freqs, u, sign=1).T for u in p.reshape(-1, 3).T)
     acc = sum(ex[:, k] * np.einsum("qm,qm->q", ey @ plane, ez)
-              for k, plane in enumerate(cube)).reshape(p.shape[:-1])
+              for k, plane in enumerate(c._dense_cube())).reshape(p.shape[:-1])
     return complex(acc) if acc.ndim == 0 else acc
 
 

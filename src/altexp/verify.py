@@ -20,7 +20,7 @@ from .domain import GridSpec, domain_table, rotations
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase)
 from .interpolation import alt_interpolate_direct
-from .oracles import adft_forward_naive, discrete_gram, remap_beta_to_c
+from .oracles import adft_forward_naive, discrete_gram, remap_beta_to_c, std_coefficient_cube
 from .transform import SampleSet, adft_forward
 
 FD_STEP = 1e-3  # central-difference step for the operator checks
@@ -229,12 +229,25 @@ def check_remap_vs_direct(rng) -> CheckResult:
     return CheckResult("remap_vs_direct", worst, 1e-12)
 
 
+def check_std_extension(rng) -> CheckResult:
+    # On cyclically symmetric samples the alternating interpolant is the standard
+    # N^3 one: the cubes differ by 1.2e-14 to 9.2e-14 (seeds 0-49), 3e-2 for a wrong G.
+    n = 61
+    g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n, rng.uniform(0.3, 3))
+    r = rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3)
+    f = r + r.transpose(2, 0, 1) + r.transpose(1, 2, 0)
+    s = SampleSet(g, f[tuple(domain_table(0, n - 1).index.T)])
+    std = std_coefficient_cube(g, f)
+    gap = np.abs(alt_interpolate_direct(s).coeffs._dense_cube() - std).max()
+    return CheckResult("std_extension", float(gap / np.abs(std).max()), 1e-12)
+
+
 ALL_CHECKS = {
     "identities": [check_cyclic_symmetry, check_periodicity, check_diagonal_shift,
                    check_product_labels, check_product_points,
                    check_operator_eigenvalues],
     "transform": [check_discrete_orthogonality, check_forward_vs_naive],
-    "interpolation": [check_remap_vs_direct],
+    "interpolation": [check_remap_vs_direct, check_std_extension],
     "c3": [check_symmetrization, check_tilde_we_order, check_orbit_table,
            check_ew_expanded],
 }

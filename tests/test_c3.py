@@ -111,6 +111,13 @@ def test_a_wrong_generator_fails_the_c3_suite(monkeypatch, refl_3):
     assert main(["verify", "c3"]) == 1
 
 
+def test_closure_stops_at_the_49th_element(monkeypatch):
+    # diag(1, 1, 2) generates an infinite group; one round of it once gave 182,016
+    monkeypatch.setattr(c3, "REFL_3", np.diag([1, 1, 2]))
+    assert len(even_weyl_group()) <= 49
+    assert len(generate_tilde_we()) <= 49
+
+
 def test_orbit_mismatch_rejects_a_moved_point():
     v = np.random.default_rng(62).normal(size=3)
     generated = reflection_orbit(v)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from altexp.cli import _write_slice_csv, main
 from altexp.domain import GridSpec, domain_positions, domain_table, write_grid_csv
-from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor, std_grid_points
+from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json, write_samples_csv)
 from altexp.textrows import BLOCK, write_rows
@@ -297,7 +297,7 @@ def test_lattice_coordinates_keep_their_bits(n, a, b, period):
     points = a + (index + b) * (period / n)
     assert np.array_equal(g.points().view(np.uint64), points.view(np.uint64))
     axis = a + (np.arange(n) + b) * (period / n)
-    assert np.array_equal(std_grid_points(g).view(np.uint64), axis.view(np.uint64))
+    assert np.array_equal(g._axis().view(np.uint64), axis.view(np.uint64))
 
 
 # ----------------------------------------------------------------- readers

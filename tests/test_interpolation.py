@@ -6,15 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from altexp import interpolation
 from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
-from altexp.interpolation import (InterpolantAlt, InterpolantStd,
-                                  alt_interpolate_direct, eval_psi_alt,
-                                  eval_psi_alt_tensor, eval_psi_std,
-                                  std_grid_points, std_interpolate)
+from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct, eval_psi_alt,
+                                  eval_psi_alt_tensor)
 from altexp.oracles import (adft_forward_naive, alt_interpolate_remap,
-                            remap_beta_to_c, remap_index)
-from altexp.transform import CoefficientSet, ParityError, SampleSet, adft_forward
+                            remap_beta_to_c, remap_index, std_coefficient_cube)
+from altexp.transform import CoefficientSet, ParityError, SampleSet, _forward, adft_forward
+from altexp.verify import check_std_extension
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -157,9 +157,8 @@ def test_remap_matches_per_key_formula(n):
 def test_lattice_parameters_live_on_the_grid():
     # N, a, b and T are stored once, on the grid; M and the period are derived
     names = {cls: tuple(f.name for f in dataclasses.fields(cls))
-             for cls in (CoefficientSet, InterpolantAlt, InterpolantStd)}
-    assert names == {CoefficientSet: ("grid", "role", "values"),
-                     InterpolantAlt: ("coeffs",), InterpolantStd: ("coeffs", "grid")}
+             for cls in (CoefficientSet, InterpolantAlt)}
+    assert names == {CoefficientSet: ("grid", "role", "values"), InterpolantAlt: ("coeffs",)}
     assert list(inspect.signature(remap_beta_to_c).parameters) == ["c"]
     g = GridSpec(0.31, 0.37, 7, 1.7)
     interp = alt_interpolate_direct(random_samples(g, seed=61))
@@ -212,19 +211,11 @@ def test_eval_psi_matches_direct_sum(g):
     pts = rng.uniform(-3.0, 4.0, (12, 3)) * g.period
     pts[:4] = rng.uniform(0.0, 1.0, (4, 3)) * g.period
     alt = alt_interpolate_direct(random_samples(g, seed=57))
-    alt_terms = [(c, r) for t, c in zip(alt.coeffs.table.index.tolist(), alt.coeffs.values)
-                 for r in rotations(t)]
-    f = rng.normal(size=(g.n,) * 3) + 1j * rng.normal(size=(g.n,) * 3)
-    std = std_interpolate(g, f)
-    big_m = (g.n - 1) // 2
-    freqs = range(-big_m, big_m + 1)
-    std_terms = [(std.coeffs[k + big_m, l + big_m, m + big_m], (k, l, m))
-                 for k in freqs for l in freqs for m in freqs]
-    for interp, evaluate, terms in ((alt, eval_psi_alt, alt_terms),
-                                    (std, eval_psi_std, std_terms)):
-        oracle = np.array([psi_direct(terms, p, g.period) for p in pts])
-        assert np.abs(evaluate(interp, pts) - oracle).max() < 1e-12
-        assert evaluate(interp, tuple(pts[5])) == pytest.approx(oracle[5], abs=1e-12)
+    terms = [(c, r) for t, c in zip(alt.coeffs.table.index.tolist(), alt.coeffs.values)
+             for r in rotations(t)]
+    oracle = np.array([psi_direct(terms, p, g.period) for p in pts])
+    assert np.abs(eval_psi_alt(alt, pts) - oracle).max() < 1e-12
+    assert eval_psi_alt(alt, tuple(pts[5])) == pytest.approx(oracle[5], abs=1e-12)
 
 
 def test_eval_psi_alt_memory_linear_in_points():
@@ -242,41 +233,63 @@ def test_eval_psi_alt_memory_linear_in_points():
 
 def test_std_interpolation_constant_and_basis():
     g = GridSpec(0, 0.5, 3)
-    interp = std_interpolate(g, np.ones((3, 3, 3)))
-    assert interp.coeffs[1, 1, 1] == pytest.approx(1.0, abs=1e-13)
-    assert np.abs(interp.coeffs).sum() == pytest.approx(1.0, abs=1e-12)
+    cube = std_coefficient_cube(g, np.ones((3, 3, 3)))
+    assert cube[1, 1, 1] == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(cube).sum() == pytest.approx(1.0, abs=1e-12)
 
-    coords = std_grid_points(g)
+    coords = g._axis()
     xx, yy, zz = np.meshgrid(coords, coords, coords, indexing="ij")
     k0 = (1, -1, 0)
     f = np.exp(2j * np.pi * (k0[0] * xx + k0[1] * yy + k0[2] * zz))
-    interp = std_interpolate(g, f)
     expected = np.zeros((3, 3, 3))
     expected[k0[0] + 1, k0[1] + 1, k0[2] + 1] = 1.0
-    assert np.abs(interp.coeffs - expected).max() < 1e-12
+    assert np.abs(std_coefficient_cube(g, f) - expected).max() < 1e-12
 
 
 def test_std_interpolation_grid_residual():
     rng = np.random.default_rng(53)
     g = GridSpec(0.2, 0.3, 3)
     f = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-    interp = std_interpolate(g, f)
-    coords = std_grid_points(g)
+    cube = std_coefficient_cube(g, f)
+    terms = [(cube[k + 1, l + 1, m + 1], (k, l, m))
+             for k in range(-1, 2) for l in range(-1, 2) for m in range(-1, 2)]
+    coords = g._axis()
     for r in range(3):
         for s in range(3):
             for t in range(3):
-                v = eval_psi_std(interp, (coords[r], coords[s], coords[t]))
+                v = psi_direct(terms, (coords[r], coords[s], coords[t]), g.period)
                 assert v == pytest.approx(f[r, s, t], abs=1e-11)
 
 
 def test_std_even_n_rejected():
     with pytest.raises(ParityError):
-        std_interpolate(GridSpec(0, 0, 2), np.ones((2, 2, 2)))
+        std_coefficient_cube(GridSpec(0, 0, 2), np.ones((2, 2, 2)))
 
 
 def test_std_wrong_sample_shape_rejected():
     with pytest.raises(ValueError, match=r"expected samples of shape \(3, 3, 3\), got \(3, 3\)"):
-        std_interpolate(GridSpec(0, 0, 3), np.ones((3, 3)))
+        std_coefficient_cube(GridSpec(0, 0, 3), np.ones((3, 3)))
+
+
+def sample_weight_one(s, role):
+    return _forward(SampleSet(s.grid, s.values * s.table.weight), role)
+
+
+def output_weight_one(s, role):
+    out = _forward(s, role)
+    out.values *= out.table.weight
+    return out
+
+
+@pytest.mark.parametrize("target, name, fault", [
+    (interpolation, "_forward", sample_weight_one),
+    (interpolation, "_forward", output_weight_one),
+    (CoefficientSet, "_dense_cube", lambda c: c.values[c.table.pos]),
+], ids=["forward-sample-weight-1", "forward-output-weight-1", "dense-cube-without-weight"])
+def test_std_extension_catches_a_wrong_weight(monkeypatch, target, name, fault):
+    # each fault reads 3e-2 or more at N = 61, against 1e-13 when clean
+    monkeypatch.setattr(target, name, fault)
+    assert not check_std_extension(np.random.default_rng(0)).passed
 
 
 def test_period_grid_consistency():

@@ -531,6 +531,14 @@ def test_cli_verify_transform_checks_naive_oracle(tmp_path, seed):
     assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True}
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cli_verify_interpolation_checks_std_extension(tmp_path, seed):
+    rpt = tmp_path / "r.json"
+    assert run(["verify", "interpolation", "--seed", seed, "--out", rpt]) == 0
+    checks = {c["name"]: c["pass"] for c in json.loads(rpt.read_text())["checks"]}
+    assert checks == {"remap_vs_direct": True, "std_extension": True}
+
+
 @pytest.mark.parametrize("spec", ["const:abc", "E:1,x,0", "sine",
                                   pytest.param(f"E:1,2,{10 ** 400}", id="E-beyond-float")])
 def test_cli_sample_names_f_in_bad_spec(tmp_path, capsys, spec):

@@ -19,7 +19,7 @@ from altexp.verify import ALL_CHECKS, run_suite
 SRC = Path(altexp.__file__).parent
 TESTS = Path(__file__).parent
 ORACLES = {"adft_forward_naive", "discrete_gram", "remap_index", "remap_beta_to_c",
-           "alt_interpolate_remap", "canonicalize", "is_semidominant"}
+           "alt_interpolate_remap", "canonicalize", "is_semidominant", "std_coefficient_cube"}
 
 
 def parse(name):
@@ -83,6 +83,14 @@ def test_only_the_coefficient_set_picks_the_index_range():
                 "altexp.transform._separable_spectrum"} & imported(interp)
     for module, name in (("oracles.py", "remap_beta_to_c"), ("io.py", "read_coefficients_json")):
         assert not {"domain_table", "_require_odd"} & called(function(parse(module), name))
+
+
+def test_the_std_oracle_shares_no_step_with_the_alternating_path():
+    body = function(parse("oracles.py"), "std_coefficient_cube")
+    used = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    assert not used & {"_unit_coords", "_phase_table", "_separable", "_forward", "domain_table",
+                       "table", "rot", "pos", "weight", "_dense_cube", "_freqs"}
 
 
 def test_every_check_takes_only_rng():
