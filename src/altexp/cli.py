@@ -29,7 +29,7 @@ from . import io as altio
 from .domain import GridSpec, write_grid_csv
 from .interpolation import InterpolantAlt, alt_interpolate_direct, eval_psi_alt_tensor
 from .quadrature import BumpParams, bump, interpolation_error
-from .textrows import NonFiniteError, refuse_non_finite, write_cells, write_rows
+from .textrows import NonFiniteError, write_rows
 from .transform import SampleSet, adft_forward, adft_inverse
 
 EXIT_OK = 0
@@ -176,11 +176,9 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
     g = interp.grid
     coords = g.a + (np.arange(res) + 0.5) * (g.period / res)
     vals = eval_psi_alt_tensor(interp, coords, coords, np.array([z])).ravel()
-    text = np.array(["%.17g," % c for c in coords.tolist()], dtype=object)   # each formatted once
-    xy, xy_text = (np.column_stack([np.repeat(c, res), np.tile(c, res)]) for c in (coords, text))
-    parts = np.column_stack([vals.real, vals.imag])
-    refuse_non_finite(xy, parts)
-    write_cells(fh, "x,y,re,im\n", "%s%s%.17g,%.17g\n", xy_text, parts)
+    i, j = np.divmod(np.arange(res * res), res)    # row i * res + j is the point (x_i, y_j)
+    write_rows(fh, "x,y,re,im\n", [(coords, i, "%.17g,"), (coords, j, "%.17g,")],
+               "%.17g,%.17g\n", np.column_stack([vals.real, vals.imag]))
 
 
 def cmd_interpolate(args) -> None:
@@ -217,8 +215,8 @@ def cmd_error_table(args) -> None:
         quad_n = (256 if n >= 31 else 128) if args.quad_n is None else args.quad_n
         errors.append(interpolation_error(f, interp, quad_n))
     with _open_output_or_stdout(args.out) as (out,):
-        write_rows(out, "N,error\n", "%d,%.17g\n", np.array(args.N)[:, None],
-                   np.array(errors)[:, None])
+        write_rows(out, "N,error\n", [(np.array(args.N), np.arange(len(errors)), "%d,")],
+                   "%.17g\n", np.array(errors)[:, None])
 
 
 def _int_at_least(lo: int):

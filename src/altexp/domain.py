@@ -7,8 +7,9 @@ cyclic label orbits.  The grids sampled here live inside the fundamental
 region of the unit cube cut out by x > z and y > z.
 
 A lattice has N distinct coordinates per axis (``GridSpec._axis``), which
-its points gather by index.  The grid CSV is assembled from per-axis
-strings: each coordinate and index is formatted once, not once per row.
+its points gather by index.  The lattice writers gather the text of each
+index (``index_cells``), and the grid CSV also that of each coordinate,
+from per-axis tables: each value is formatted once, not once per row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .textrows import BLOCK, refuse_non_finite
+from .textrows import write_rows
 
 
 def rotations(t: Sequence) -> list:
@@ -129,24 +130,20 @@ class GridSpec:
         return self._axis()[domain_table(0, self.n - 1).index]
 
 
+def index_cells(n1: int, n2: int, fmts: Sequence[str] = ("%d,",) * 3) -> list:
+    """The k, l and m cell columns, formatted by ``fmts``, of the rows of
+    D(n1, n2) for ``write_rows``: each index is formatted once per column."""
+    index, axis = domain_table(n1, n2).index, np.arange(n1, n2 + 1)
+    return [(axis, index[:, j] - n1, fmt) for j, fmt in enumerate(fmts)]
+
+
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     """Grid export: header ``r,s,t,x,y,z``, coordinates at 17 significant digits.
 
-    Row (r, s, t) is the text of its (r, s) pair, ``"r,s,"`` and
-    ``"x_r,x_s,"``, around that of its t, ``"t,"`` and ``"x_t\\n"``, taken from
-    tables formatted once; the rows go out ``BLOCK`` at a time.
+    Every cell of row (r, s, t) is gathered: the indices and the coordinates
+    of ``GridSpec._axis``, each formatted once per column.
     """
-    index, x = domain_table(0, g.n - 1).index, g._axis()
-    if not np.isfinite(x).all():
-        refuse_non_finite(index, x[index])
-    ids = ["%d," % r for r in range(g.n)]
-    xs = ["%.17g" % v for v in x.tolist()]
-    pair_ids = np.array([i + j for i in ids for j in ids], dtype=object)
-    pair_xs = np.array([f"{u},{v}," for u in xs for v in xs], dtype=object)
-    t_ids, t_xs = np.array(ids, dtype=object), np.array([v + "\n" for v in xs], dtype=object)
-    fh.write("r,s,t,x,y,z\n")
-    for start in range(0, len(index), BLOCK):
-        r, s, t = index[start:start + BLOCK].T
-        rs = r * g.n + s
-        cells = np.column_stack([pair_ids[rs], t_ids[t], pair_xs[rs], t_xs[t]])
-        fh.write("".join(cells.ravel().tolist()))
+    r, s, t = domain_table(0, g.n - 1).index.T
+    x = g._axis()
+    cells = index_cells(0, g.n - 1) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
+    write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)), key=3)

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .domain import GridSpec, domain_positions, domain_table
+from .domain import GridSpec, domain_positions, domain_table, index_cells
 from .textrows import BLOCK, write_rows
 from .transform import CoefficientSet, SampleSet
 
@@ -70,7 +70,8 @@ def _pairs(v: np.ndarray) -> np.ndarray:
 
 
 def write_samples_csv(s: SampleSet, fh: TextIO) -> None:
-    write_rows(fh, "r,s,t,re,im\n", "%d,%d,%d,%.17g,%.17g\n", s.table.index, _pairs(s.values))
+    write_rows(fh, "r,s,t,re,im\n", index_cells(0, s.grid.n - 1), "%.17g,%.17g\n",
+               _pairs(s.values))
 
 
 def _sample_row_error(lines: list) -> None:
@@ -124,16 +125,15 @@ def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
                                   f"N={grid.n} lattice"))
 
 
-_COEFF_ROW = ('  {\n   "k": %d,\n   "l": %d,\n   "m": %d,\n'
-              '   "re": %r,\n   "im": %r\n  }')
+_COEFF_KEYS = ('  {\n   "k": %d,\n', '   "l": %d,\n', '   "m": %d,\n')
 
 
 def write_coefficients_json(c: CoefficientSet, fh: TextIO) -> None:
     head = json.dumps({"N": c.grid.n, "M": c.m, "a": c.grid.a, "b": c.grid.b,
                        "T": c.grid.period, "role": c.role}, indent=1, allow_nan=False)
     # the layout of json.dump(..., indent=1) with the coefficient list last
-    write_rows(fh, head[:-2] + ',\n "coeffs": [\n', _COEFF_ROW, c.table.index,
-               _pairs(c.values), sep=",\n", tail="\n ]\n}\n")
+    write_rows(fh, head[:-2] + ',\n "coeffs": [\n', index_cells(*c._range, _COEFF_KEYS),
+               '   "re": %r,\n   "im": %r\n  }', _pairs(c.values), sep=",\n", tail="\n ]\n}\n")
 
 
 def _is_int(v) -> bool:
@@ -170,6 +170,8 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
         obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:   # an over-long integer, or deep nesting
+        raise FormatError(str(exc)) from None
     n = _field(obj, "N", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
     m = _field(obj, "M", lambda v: v is None or _is_int(v), "an integer or null")
     a, b, period = (_field(obj, f, _is_finite, "a finite number") for f in "abT")

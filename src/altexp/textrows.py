@@ -1,18 +1,19 @@
-"""The block row formatter behind every text writer.
+"""The block row writer behind every text output.
 
-A written row is a key part (an index triple or coordinates) followed by
-a value part (floats).  ``write_rows`` turns ``BLOCK`` rows at a time
-into text with one ``%`` operation on the row template repeated for the
-block, so the per-row work runs in C and the text held at once is
-O(BLOCK) rows whatever the file size.  ``%d`` writes an integer as
+A written row is gathered cells (index and coordinate text) followed by
+its numbers.  A cell column takes its text from a table of the distinct
+values of its axis, each formatted once, which every row indexes: an N
+lattice formats N strings per axis whatever its point count.  The numbers
+go through the row template, ``BLOCK`` rows at a time in one ``%``
+operation, and a block's text is one join, so the per-row work runs in C
+and the text held at once is O(BLOCK) rows whatever the file size.  ``%d`` writes an integer as
 ``int.__repr__`` and ``%r`` a float as ``float.__repr__``, the forms the
-``json`` encoder writes; ``%.17g`` is the CSV form, and ``%s`` takes a
-cell formatted ahead of time.
+``json`` encoder writes; ``%.17g`` is the CSV form.
 """
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -23,38 +24,39 @@ class NonFiniteError(ValueError):
     """A writer was given a non-finite number; nothing has been written."""
 
 
-def refuse_non_finite(keys: np.ndarray, values: np.ndarray) -> None:
-    """Raise ``NonFiniteError`` naming the first row of ``keys`` (n, k) and
-    ``values`` (n, j) that holds a non-finite number, if there is one."""
-    bad = np.flatnonzero(~(np.isfinite(keys).all(axis=1) & np.isfinite(values).all(axis=1)))
-    if bad.size:
-        i = bad[0]
-        raise NonFiniteError(f"refusing to write non-finite values at "
-                             f"{tuple(keys[i].tolist())}: {tuple(values[i].tolist())}")
+def write_rows(fh: TextIO, head: str, cells: Sequence, row: str, values: np.ndarray,
+               sep: str = "", tail: str = "", key: int | None = None) -> None:
+    """Write ``head``, then every row i joined by ``sep``, then ``tail``.
 
-
-def write_cells(fh: TextIO, head: str, row: str, keys: np.ndarray, values: np.ndarray,
-                sep: str = "", tail: str = "") -> None:
-    """Write ``head``, ``row % (*keys[i], *values[i])`` for every i joined by
-    ``sep``, then ``tail``.  ``keys`` is (n, k) and ``values`` (n, j); the
-    cells are not checked, so a key may be a string formatted ahead of time."""
-    n, k = keys.shape
+    Row i is the text of its cells followed by ``row % tuple(values[i])``.
+    ``cells`` is a sequence of columns ``(axis, at, fmt)``: the cell of row i
+    is ``fmt % axis[at[i]]``, and each entry of ``axis`` is formatted once.
+    ``values`` is (n, j).  A non-finite number in any row is refused before
+    anything is written, naming the first such row by the numbers of its
+    first ``key`` cells (all by default) and then giving its other numbers.
+    """
+    bad = ~np.isfinite(values).all(axis=1)
+    for axis, at, _ in cells:
+        bad |= ~np.isfinite(axis)[at]
+    if bad.any():
+        i = np.argmax(bad)
+        found = [axis[at[i]].item() for axis, at, _ in cells] + values[i].tolist()
+        key = len(cells) if key is None else key
+        raise NonFiniteError(f"refusing to write non-finite values at {tuple(found[:key])}: "
+                             f"{tuple(found[key:])}")
+    tables = [(np.array([fmt % v for v in axis.tolist()], dtype=object), at)
+              for axis, at, fmt in cells]
+    n, k = len(values), len(cells)
     fh.write(head)
-    # an object array holds the block's Python ints, floats and strings in row order
-    cells = np.empty((min(n, BLOCK), k + values.shape[1]), dtype=object)
+    # a row's number text ends with the separator to the next row; it is cut
+    # from the block's one % at NULs, which no formatted number holds
+    items = np.empty((min(n, BLOCK), k + 1), dtype=object)
     for start in range(0, n, BLOCK):
-        block = cells[:min(n - start, BLOCK)]
-        block[:, :k] = keys[start:start + BLOCK]
-        block[:, k:] = values[start:start + BLOCK]
-        if start:
-            fh.write(sep)
-        fh.write(sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+        block = items[:min(n - start, BLOCK)]
+        for j, (table, at) in enumerate(tables):
+            block[:, j] = table[at[start:start + BLOCK]]
+        numbers = tuple(values[start:start + BLOCK].ravel().tolist())
+        block[:, k] = ((row + sep + "\0") * len(block) % numbers).split("\0")[:-1]
+        text = "".join(block.ravel().tolist())
+        fh.write(text if start + BLOCK < n else text[:len(text) - len(sep)])
     fh.write(tail)
-
-
-def write_rows(fh: TextIO, head: str, row: str, keys: np.ndarray, values: np.ndarray,
-               sep: str = "", tail: str = "") -> None:
-    """``write_cells`` after ``refuse_non_finite``: a non-finite number in
-    any row is refused, naming the first such row, before anything is written."""
-    refuse_non_finite(keys, values)
-    write_cells(fh, head, row, keys, values, sep, tail)

@@ -21,7 +21,7 @@ from altexp.domain import GridSpec, domain_positions, domain_table, write_grid_c
 from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json, write_samples_csv)
-from altexp.textrows import BLOCK, write_rows
+from altexp.textrows import BLOCK
 from altexp.transform import CoefficientSet, SampleSet
 
 SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.5e-8, 1e16,
@@ -65,13 +65,6 @@ def old_write_slice_csv(interp, z, res, fh):
         for j, y in enumerate(coords):
             v = vals[i, j]
             fh.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def grid_reference(g, fh):
-    """The grid writer before per-axis strings: every coordinate through the
-    block formatter, 3P ``%.17g`` conversions."""
-    write_rows(fh, "r,s,t,x,y,z\n", "%d,%d,%d,%.17g,%.17g,%.17g\n",
-               domain_table(0, g.n - 1).index, g.points())
 
 
 def text_of(write, *args):
@@ -259,14 +252,25 @@ class Chunks:
 
 
 def test_writers_stream_in_blocks():
-    # N=31 has 10,417 rows: the text goes out in blocks of at most BLOCK rows
+    # N=31 has 10,417 rows and a res=70 slice 4900: the text goes out in
+    # blocks of at most BLOCK rows, a row being a line or a coefficient entry
     g = GridSpec(0.31, 0.37, 31)
     s = SampleSet(g, special_values(g.point_count, 7))
-    fh = Chunks()
-    write_samples_csv(s, fh)
-    assert "".join(fh.chunks) == text_of(old_write_samples_csv, s)
-    assert max(c.count("\n") for c in fh.chunks) == BLOCK
-    assert len(fh.chunks) > g.point_count // BLOCK
+    rng = np.random.default_rng(31)
+    interp = alt_interpolate_direct(SampleSet(g, rng.normal(size=g.point_count)
+                                              + 1j * rng.normal(size=g.point_count)))
+    for write, old, args, row, rows in (
+            (write_samples_csv, old_write_samples_csv, (s,), "\n", g.point_count),
+            (write_coefficients_json, old_write_coefficients_json,
+             (CoefficientSet(g, "beta", special_values(g.point_count, 8)),), '"k"', g.point_count),
+            (write_coefficients_json, old_write_coefficients_json, (c_alt_set(g, 9),), '"k"',
+             g.point_count),
+            (_write_slice_csv, old_write_slice_csv, (interp, 0.25, 70), "\n", 70 * 70)):
+        fh = Chunks()
+        write(*args, fh)
+        assert "".join(fh.chunks) == text_of(old, *args)
+        assert max(c.count(row) for c in fh.chunks) == BLOCK
+        assert len(fh.chunks) > rows // BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 25])
@@ -276,14 +280,14 @@ def test_grid_writer_matches_reference(n, a):
     for b in (0, 0.37, 1):
         for period in (1, 1.7):
             g = GridSpec(a, b, n, period)
-            assert text_of(write_grid_csv, g) == text_of(grid_reference, g)
+            assert text_of(write_grid_csv, g) == text_of(old_write_grid_csv, g)
 
 
 def test_grid_writer_streams_in_blocks():
     g = GridSpec(0.31, 0.37, 31)
     fh = Chunks()
     write_grid_csv(g, fh)
-    assert "".join(fh.chunks) == text_of(grid_reference, g)
+    assert "".join(fh.chunks) == text_of(old_write_grid_csv, g)
     assert max(c.count("\n") for c in fh.chunks) <= BLOCK
     assert len(fh.chunks) > g.point_count // BLOCK
 

@@ -502,6 +502,20 @@ def test_cli_undecodable_input_exit_code(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.bin"]
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param('{"N": ' + "9" * 5000 + "}", id="N-past-the-int-string-limit"),
+    pytest.param('{"N": 1, "coeffs": [{"k": 0, "l": 0, "m": 0, "re": -' + "1" * 5000
+                 + ', "im": 0}]}', id="re-past-the-int-string-limit"),
+    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit")])
+def test_cli_inverse_rejects_unparsable_json(tmp_path, capsys, text):
+    bad, out = tmp_path / "bad.json", tmp_path / "back.csv"
+    bad.write_text(text)
+    assert run(["inverse", "--in", bad, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_inverse_rejects_interpolation_coefficients(tmp_path, capsys):
     s_csv, _ = sample_lines(tmp_path)
     ijson, out = tmp_path / "i.json", tmp_path / "back.csv"
