@@ -9,6 +9,7 @@ through it; ``continuous_gram_entry`` is the same sum reordered.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,15 +21,30 @@ from .interpolation import InterpolantAlt, eval_psi_alt_tensor
 
 @dataclass(frozen=True)
 class BumpParams:
-    """Smooth characteristic function of a ball: radii and center."""
+    """Smooth characteristic function of a ball: radii and center.
+
+    The radii and the three center coordinates are stored as Python
+    floats, so a point and an array give the same bits: under NumPy 2's
+    promotion rules, a Python float minus a float32 is a float32."""
 
     alpha: float
     beta: float
     center: tuple
 
     def __post_init__(self):
-        if not 0 < self.alpha < self.beta < math.inf:
+        if not (isinstance(self.alpha, numbers.Real) and isinstance(self.beta, numbers.Real)
+                and 0 < self.alpha < self.beta < math.inf):
             raise ValueError(f"radii must satisfy 0 < alpha < beta < inf, got {self}")
+        try:
+            center = tuple(self.center)
+        except TypeError:
+            center = ()
+        if len(center) != 3 or not all(isinstance(c, numbers.Real) and math.isfinite(c)
+                                       for c in center):
+            raise ValueError(f"center must be three finite numbers x, y, z, got {self}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "center", tuple(float(c) for c in center))
 
 
 def bump(params: BumpParams, p) -> float | np.ndarray:
@@ -39,13 +55,25 @@ def bump(params: BumpParams, p) -> float | np.ndarray:
     ``p`` may be a point, for which a float is returned, or an (..., 3)
     array, for which an array of its leading shape is returned.
 
-    The squared distance is summed left to right, dx*dx + dy*dy + dz*dz,
-    the order ``np.sum`` takes over a length-3 axis.  The order is fixed
-    because sample files and error tables carry these bits, and a point
-    must give the bits of its row in an array; products are dx*dx, not
-    dx**2, which on a float64 scalar goes through libm ``pow``.
+    Sample files and error tables carry these bits, and a point must give
+    the bits of its row in an array, so both paths take the same steps:
+    the squared distance summed left to right, dx*dx + dy*dy + dz*dz (the
+    order ``np.sum`` takes over a length-3 axis; dx*dx, not dx**2, which
+    on a float64 scalar goes through libm ``pow``), a correctly rounded
+    square root, the same q, and ``np.exp`` on the shell 0 <= q < 1.  A
+    point is evaluated with Python floats, ``math.sqrt`` and ``np.exp``
+    (not ``math.exp``, whose bits may differ from numpy's); numpy's fixed
+    cost per call would be most of the work on three numbers.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape == (3,):
+        (x, y, z), (cx, cy, cz) = p.tolist(), params.center
+        dx, dy, dz = x - cx, y - cy, z - cz
+        r = math.sqrt(dx * dx + dy * dy + dz * dz)
+        q = (r - params.alpha) / (params.beta - params.alpha)
+        if 0.0 <= q < 1.0:
+            return float(math.e * np.exp(1.0 / (q * q - 1.0)))
+        return float(r < params.alpha)
     d = p - np.asarray(params.center, dtype=float)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     r = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -55,8 +83,6 @@ def bump(params: BumpParams, p) -> float | np.ndarray:
     if shell.any():
         qs = q[shell]
         out[shell] = math.e * np.exp(1.0 / (qs * qs - 1.0))
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

@@ -64,6 +64,10 @@ class SampleSet:
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "SampleSet":
+        """Sample ``fn`` by calling it once per lattice point, with the
+        point as a tuple of floats, in enumeration order.  A ``fn`` that
+        takes (..., 3) arrays is faster as ``from_array(grid,
+        fn(grid.points()))``."""
         return cls(grid, np.array([complex(fn(tuple(p)))
                                    for p in grid.points().tolist()], dtype=complex))
 

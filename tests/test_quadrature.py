@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,10 +139,57 @@ def test_bump_validation():
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.1, math.inf), (math.inf, math.inf),
-                                         (0.1, math.nan)])
+                                         (0.1, math.nan), ("0.1", 0.2), (0.1, 0.2j)])
 def test_bump_requires_finite_radii(alpha, beta):
     with pytest.raises(ValueError, match="< inf"):
         BumpParams(alpha, beta, (0, 0, 0))
+
+
+@pytest.mark.parametrize("center", [0.5, (0.5,), (0.1, 0.2, 0.5, 0.5), (math.nan, 0.5, 0.5),
+                                    (0.5, math.inf, 0.5), ("0.75", "0.75", "0.25"),
+                                    "0.5,0.5,0.5", None])
+def test_bump_rejects_a_bad_center(center):
+    with pytest.raises(ValueError, match="center"):
+        BumpParams(0.1, 0.2, center)
+
+
+@pytest.mark.parametrize("params", [
+    BumpParams(0.125, 0.25, (0, 0, 0)),
+    BumpParams(0.1, 0.2, np.array([0.75, 0.75, 0.25], dtype=np.float32)),
+    BumpParams(np.float32(0.1), np.float32(0.2), (0.75, 0.75, 0.25)),
+])
+def test_bump_stores_python_floats_and_points_match_array_rows(params):
+    assert all(type(v) is float for v in (params.alpha, params.beta, *params.center))
+    rng = np.random.default_rng(73)
+    pts = np.asarray(params.center) + rng.uniform(-0.25, 0.25, (2000, 3))
+    rows = bump(params, pts)
+    assert 0 < np.count_nonzero((rows > 0) & (rows < 1)) < len(rows)
+    for p, row in zip(pts, rows):
+        assert same_bits(bump(params, p), row)
+
+
+def test_bump_non_finite_points_match_array_rows_without_warnings():
+    big = 1e300
+    pts = np.array([(math.nan, 0.75, 0.25), (math.inf, 0.75, 0.25), (0.75, -math.inf, 0.25),
+                    (0.75, 0.75, big), (-big, big, -big), (math.inf, -math.inf, math.nan),
+                    (big, 0.75, math.nan)])
+    with np.errstate(all="ignore"):
+        rows = bump(FA, pts)
+    assert (rows == 0.0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, row in zip(pts, rows):
+            assert same_bits(bump(FA, p), row)
+
+
+@pytest.mark.parametrize("n, a, b", [(15, 0.0, 0.5), (16, 0.31, 0.37)])
+def test_scalar_and_vectorised_samplers_agree_bitwise(n, a, b):
+    g = GridSpec(a, b, n)
+    scalar = SampleSet.from_function(g, lambda p: complex(bump(FA, np.asarray(p))))
+    vectorised = SampleSet.from_array(g, bump(FA, g.points()))
+    values = vectorised.values.real
+    assert np.count_nonzero((values > 0) & (values < 1)) > 10    # the shell is sampled
+    assert scalar.values.tobytes() == vectorised.values.tobytes()
 
 
 def test_volume_of_region():
