@@ -76,7 +76,7 @@ def _builtin_function(args):
 
 def _sample_lattice(g: GridSpec, fn) -> SampleSet:
     """Samples of the vectorized ``fn`` at the lattice points, all finite."""
-    s = SampleSet.from_array(g, np.asarray(fn(g.points()), dtype=complex))
+    s = SampleSet(g, fn(g.points()))
     bad = np.flatnonzero(~np.isfinite(s.values))
     if bad.size:
         rst = tuple(s.table.index[bad[0]].tolist())

@@ -51,7 +51,10 @@ class DomainTable(NamedTuple):
     pos: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
+# A CLI command uses at most two ranges and no caller more than three, and a
+# table is 40 MB at N=121: a cache of 16, not 4, only held memory (it doubled
+# the peak RSS of an error-table over eight N near 110, with the same output).
+@functools.lru_cache(maxsize=4)
 def domain_table(n1: int, n2: int) -> DomainTable:
     """The cached table of all semidominant triples with entries in {n1, ..., n2}."""
     side = max(n2 - n1 + 1, 0)
@@ -106,13 +109,23 @@ class GridSpec:
         if 3 * self.n ** 3 * np.intp(0).itemsize > np.iinfo(np.intp).max:
             # domain_table's (3, N, N, N) index cube has more bytes than numpy can size
             raise ValueError(f"grid density N={self.n} is too large to index")
+        for name, what in (("a", "lattice shift a"), ("b", "fractional offset b"),
+                           ("period", "period T")):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real):
+                raise ValueError(f"{what} must be a real number, got {v!r}")
+            try:   # json writes only Python floats as floats (an int as an int)
+                object.__setattr__(self, name, float(v))
+            except OverflowError:
+                raise ValueError(f"{what} must be finite, got an integer past the "
+                                 "float range") from None
         if not np.isfinite(self.a):
             raise ValueError(f"lattice shift a must be finite, got {self.a}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"fractional offset b must be in [0, 1], got {self.b}")
         if not 0 < self.period < np.inf:
             raise ValueError(f"period T must be positive and finite, got {self.period}")
-        a, t = float(self.a), float(self.period)  # coordinates are bounded by |a| + T
+        a, t = self.a, self.period  # coordinates are bounded by |a| + T
         if not np.isfinite([abs(a) + t, a / t]).all():   # transforms use a / T
             raise ValueError(f"shift a={a} and period T={t} overflow the lattice coordinates")
 

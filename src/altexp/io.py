@@ -7,15 +7,17 @@ enumeration order.  CSV floats are written with 17 significant digits and
 JSON floats in the shortest form that reads back to the same double
 (``float.__repr__``), so outputs are byte-reproducible and round-trip
 exactly.  The writers stream rows in blocks (``textrows``) and refuse
-non-finite values before writing anything; the readers convert whole
-columns at once and name the first bad line or entry.
+non-finite values before writing anything.  The readers convert whole
+columns at once and name the first bad line or entry; both hand their
+k, l and m columns to one key check (``_place``), which counts the rows
+at each enumeration position.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter, methodcaller
+from operator import methodcaller
 from typing import TextIO
 
 import numpy as np
@@ -37,8 +39,8 @@ def _place(n1: int, n2: int, cols, values: np.ndarray, where, what: str) -> np.n
     """``values`` moved to the enumeration order of D(n1, n2).
 
     ``cols`` holds the k, l and m of every row, column by column.  Every
-    triple of the range must occur exactly once; ``where(i)`` names the
-    input location of row i for the error message.
+    triple of the range must occur exactly once, which one count per
+    position checks; ``where(i)`` names the input location of row i.
     """
     pos = domain_positions(n1, n2, np.array(cols).T)
 
@@ -49,19 +51,17 @@ def _place(n1: int, n2: int, cols, values: np.ndarray, where, what: str) -> np.n
     if bad.size:
         i = bad[0]
         raise FormatError(f"{where(i)}: {key(i)} is not a triple of the {what}")
-    order = np.argsort(pos, kind="stable")
-    dup = np.flatnonzero(np.diff(pos[order]) == 0)
-    if dup.size:
-        i, j = order[dup[0]], order[dup[0] + 1]
-        raise FormatError(f"{where(i)} and {where(j)}: duplicate triple {key(i)}")
     table = domain_table(n1, n2)
-    out = np.zeros(len(table.index), dtype=complex)
-    out[pos] = values
-    if len(pos) < len(out):
-        filled = np.zeros(len(out), dtype=bool)
-        filled[pos] = True
-        first = tuple(table.index[np.argmin(filled)].tolist())
+    counts = np.bincount(pos, minlength=len(table.index))
+    dup = np.flatnonzero(counts > 1)
+    if dup.size:
+        i, j = np.flatnonzero(pos == dup[0])[:2]
+        raise FormatError(f"{where(i)} and {where(j)}: duplicate triple {key(i)}")
+    if len(pos) < len(counts):
+        first = tuple(table.index[np.argmin(counts)].tolist())
         raise MissingKeyError(f"the {what} is missing triple {first}")
+    out = np.empty(len(counts), dtype=complex)
+    out[pos] = values
     return out
 
 
@@ -184,8 +184,7 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
     # the entries are checked field by field over the whole list; any bad
     # entry sends the list through the per-entry checks, which name the first
     try:
-        entries = map(itemgetter("k", "l", "m", "re", "im"), coeffs)
-        k, l, m_, re, im = zip(*entries) if coeffs else ((),) * 5
+        k, l, m_, re, im = ([c[f] for c in coeffs] for f in ("k", "l", "m", "re", "im"))
         if set(map(type, k + l + m_)) - {int} or set(map(type, re + im)) - {int, float}:
             raise ValueError("a coefficient field has the wrong type")
         # set the parts one by one: re + 1j * im would turn -0.0 into 0.0

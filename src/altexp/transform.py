@@ -49,6 +49,8 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
+        # a complex128 array is kept, not copied: the forward fills its buffer in place
+        self.values = np.asarray(self.values, dtype=complex)
         _check_count(self.grid, self.values, "samples")
 
     @property
@@ -90,6 +92,7 @@ class CoefficientSet:
             raise ValueError(f"coefficient role must be 'beta' or 'c_alt', got {self.role!r}")
         if self.role == "c_alt":
             _require_odd(self.grid.n)
+        self.values = np.asarray(self.values, dtype=complex)   # as in SampleSet
         _check_count(self.grid, self.values, f"{self.role!r} coefficients")
 
     @property

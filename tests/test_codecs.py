@@ -243,6 +243,47 @@ def test_writers_match_old_bytes_on_any_finite_double(parts, a):
     assert text_of(write_coefficients_json, beta) == text_of(old_write_coefficients_json, beta)
 
 
+def test_grid_parameters_are_written_as_floats():
+    # a, b and T are stored as Python floats, whatever real number type is given
+    g = GridSpec(0.0, 0.5, 3, 2.0)
+    c = CoefficientSet(g, "beta", special_values(g.point_count, 3))
+    for grid in (GridSpec(0, 0.5, 3, 2), GridSpec(np.float32(0.0), np.float32(0.5), 3,
+                                                   np.int64(2))):
+        assert all(type(v) is float for v in (grid.a, grid.b, grid.period))
+        assert (text_of(write_coefficients_json, CoefficientSet(grid, "beta", c.values))
+                == text_of(write_coefficients_json, c))
+    g32 = GridSpec(np.float32(0.31), 0.37, 5)
+    assert g32.a == float(np.float32(0.31))
+    assert '"a": 0.3100000023841858,' in text_of(
+        write_coefficients_json, CoefficientSet(g32, "beta", np.zeros(g32.point_count)))
+    for field, args in (("lattice shift a", ("0.3", 0.5, 3)),
+                        ("fractional offset b", (0.0, None, 3)),
+                        ("period T", (0.0, 0.5, 3, 2j))):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            GridSpec(*args)
+    with pytest.raises(ValueError, match="period T must be finite, got an integer past"):
+        GridSpec(0.0, 0.5, 3, 10 ** 400)
+
+
+def test_sets_store_complex_arrays():
+    g = GridSpec(0.31, 0.37, 3)
+    ones = np.ones(g.point_count, dtype=complex)
+    assert SampleSet(g, ones).values is ones                  # no copy of complex128
+    assert CoefficientSet(g, "beta", ones).values is ones
+    for values in ([1.0] * g.point_count, [1] * g.point_count,
+                   np.ones(g.point_count, dtype=int)):
+        assert (text_of(write_samples_csv, SampleSet(g, values))
+                == text_of(write_samples_csv, SampleSet(g, ones)))
+        for role in ("beta", "c_alt"):
+            assert (text_of(write_coefficients_json, CoefficientSet(g, role, values))
+                    == text_of(write_coefficients_json, CoefficientSet(g, role, ones)))
+    words = np.array(["one"] * g.point_count)
+    with pytest.raises(ValueError):
+        SampleSet(g, words)
+    with pytest.raises(ValueError):
+        CoefficientSet(g, "beta", words)
+
+
 class Chunks:
     def __init__(self):
         self.chunks = []
@@ -420,6 +461,89 @@ def test_coefficient_reader_matches_old_on_edge_files(coeffs):
                        "coeffs": coeffs})
     assert_same_outcome(outcome(read_coefficients_json, io.StringIO(text)),
                         outcome(old_read_coefficients_json, io.StringIO(text)))
+
+
+def shuffled_body(n, seed):
+    """The lattice, a shuffled N=n sample body and its rows' enumeration positions."""
+    g = GridSpec(0.31, 0.37, n)
+    s = SampleSet(g, special_values(g.point_count, seed))
+    rows = text_of(write_samples_csv, s).split("\n")[1:-1]
+    order = np.random.default_rng(seed).permutation(len(rows))
+    return g, [rows[p] for p in order], order.tolist()
+
+
+def sample_outcomes(g, rows):
+    text = "r,s,t,re,im\n" + "\n".join(rows) + "\n"
+    new = outcome(read_samples_csv, g, io.StringIO(text))
+    assert_same_outcome(new, outcome(old_read_samples_csv, g, io.StringIO(text)))
+    return new
+
+
+def test_sample_reader_names_the_lowest_duplicate():
+    g, rows, pos = shuffled_body(20, 11)
+    if pos[0] < pos[1]:                      # two triples, the higher listed first
+        rows[:2], pos[:2] = rows[1::-1], pos[1::-1]
+    rows += rows[:2]                         # and again at the end, in that order
+    triple = tuple(domain_table(0, 19).index[pos[1]].tolist())
+    assert sample_outcomes(g, rows) == (
+        FormatError, f"line 3 and line {len(rows) + 1}: duplicate triple {triple}")
+
+
+def test_sample_reader_key_faults_keep_their_precedence():
+    g, rows, pos = shuffled_body(20, 12)
+    missing = pos.index(0)                  # the first triple of the range
+    dup = rows[1] if missing != 1 else rows[2]
+    # a duplicate beats a missing triple, wherever each sits in the body
+    body = [r for i, r in enumerate(rows) if i != missing] + [dup]
+    kind, message = sample_outcomes(g, body)
+    assert kind is FormatError and "duplicate triple" in message
+    # a row off the range beats both, though it comes after them
+    kind, message = sample_outcomes(g, body + ["0,1,2,0.5,0.5"])
+    assert (kind, message) == (FormatError, f"line {len(body) + 2}: (0, 1, 2) is not a "
+                                             "triple of the N=20 lattice")
+    kind, message = sample_outcomes(g, rows[:missing] + rows[missing + 1:])
+    assert (kind, message) == (MissingKeyError, "the N=20 lattice is missing triple (0, 0, 0)")
+
+
+def coefficient_outcomes(entries, n=21):
+    text = json.dumps({"N": n, "M": (n - 1) // 2, "a": 0.31, "b": 0.37, "T": 1.0,
+                       "role": "c_alt", "coeffs": entries})
+    new = outcome(read_coefficients_json, io.StringIO(text))
+    assert_same_outcome(new, outcome(old_read_coefficients_json, io.StringIO(text)))
+    return new
+
+
+def shuffled_entries(seed, n=21):
+    c = c_alt_set(GridSpec(0.31, 0.37, n), seed)
+    entries = json.loads(text_of(write_coefficients_json, c))["coeffs"]
+    order = np.random.default_rng(seed).permutation(len(entries))
+    return [entries[p] for p in order], order.tolist(), c.table.index
+
+
+def test_coefficient_reader_names_the_lowest_duplicate():
+    entries, pos, index = shuffled_entries(13)
+    if pos[0] < pos[1]:
+        entries[:2], pos[:2] = entries[1::-1], pos[1::-1]
+    entries += entries[:2]
+    triple = tuple(index[pos[1]].tolist())
+    assert coefficient_outcomes(entries) == (
+        FormatError, f"coeffs[1] and coeffs[{len(entries) - 1}]: duplicate triple {triple}")
+
+
+def test_coefficient_reader_key_faults_keep_their_precedence():
+    entries, pos, index = shuffled_entries(14)
+    missing = pos.index(0)
+    dup = dict(entries[1] if missing != 1 else entries[2])
+    body = [e for i, e in enumerate(entries) if i != missing] + [dup]
+    kind, message = coefficient_outcomes(body)
+    assert kind is FormatError and "duplicate triple" in message
+    off = {"k": 0, "l": 1, "m": 2, "re": 0.5, "im": 0.5}
+    assert coefficient_outcomes(body + [off]) == (
+        FormatError, f"coeffs[{len(body)}]: (0, 1, 2) is not a triple of the "
+                     "role 'c_alt' index range")
+    first = tuple(index[0].tolist())
+    assert coefficient_outcomes(entries[:missing] + entries[missing + 1:]) == (
+        MissingKeyError, f"the role 'c_alt' index range is missing triple {first}")
 
 
 # ----------------------------------------------------- non-finite refusals
