@@ -98,37 +98,48 @@ def _read_input(path, read):
 
 
 @contextlib.contextmanager
-def _open_outputs(*paths):
-    """Open a temporary file beside every output before any is written.
+def _open_outputs(*paths, source=None):
+    """Open a temporary file beside every output's real path before any is written.
 
-    Once the body returns, each one is moved onto its output with
-    ``os.replace``.  If an open fails, or the body raises, the temporary
-    files are removed, so a failed command leaves no partial output and
-    any earlier file of the same name as it was.  Two outputs of one file are
-    refused before any is opened: the later move would replace the earlier.
+    Once the body returns, each one is moved onto that path with
+    ``os.replace``, so a symlink keeps its link.  If an open fails, or the
+    body raises, the temporary files are removed, so a failed command
+    leaves no partial output and any earlier file of the same name as it
+    was.  An existing output that is not a regular file (a device or a
+    FIFO) is written in place.  An output that names the same file as the
+    input ``source`` or an earlier output is refused before any is opened.
     """
     real = [os.path.realpath(p) for p in paths]
     for i, path in enumerate(paths):
+        if source is not None and real[i] == os.path.realpath(source):
+            raise ValueError(f"{path}: names the same file as the input")
         if real[i] in real[:i]:
             raise ValueError(f"{path}: names the same file as another output")
-    fhs = []
+    fhs, tmps = [], []    # tmps[i] is None for an output written in place
     try:
-        for path in paths:
-            head, name = os.path.split(os.fspath(path))
-            tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
-            fhs.append(open(tmp, "x"))   # the umask-derived mode of open(path, "w")
+        for path, target in zip(paths, real):
+            # the path as given: /dev/stdout on a pipe has no real path
+            if os.path.exists(path) and not os.path.isfile(path):
+                tmps.append(None)
+                fhs.append(open(path, "w"))
+            else:
+                head, name = os.path.split(target)
+                tmps.append(os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp"))
+                fhs.append(open(tmps[-1], "x"))   # the umask-derived mode of open(path, "w")
         path = ", ".join(map(str, paths))   # a write in the body may hit any of them
         yield fhs
-        for fh, path in zip(fhs, paths):
+        for fh, tmp, target, path in zip(fhs, tmps, real, paths):
             fh.close()
-            os.replace(fh.name, path)
+            if tmp is not None:
+                os.replace(tmp, target)
     except OSError as exc:   # name the output, not its temporary file
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
-        for fh in fhs:
+        for fh, tmp in zip(fhs, tmps):
             fh.close()
-            with contextlib.suppress(OSError):     # gone once moved into place
-                os.remove(fh.name)
+            if tmp is not None:
+                with contextlib.suppress(OSError):     # gone once moved into place
+                    os.remove(tmp)
 
 
 def cmd_grid(args) -> None:
@@ -150,7 +161,7 @@ def _read_samples(args) -> SampleSet:
 
 def cmd_transform(args) -> None:
     coeffs = adft_forward(_read_samples(args))
-    with _open_outputs(args.out) as (fh,):
+    with _open_outputs(args.out, source=args.infile) as (fh,):
         altio.write_coefficients_json(coeffs, fh)
 
 
@@ -163,7 +174,7 @@ def _read_beta(fh):
 
 def cmd_inverse(args) -> None:
     s = adft_inverse(_read_input(args.infile, _read_beta))
-    with _open_outputs(args.out) as (fh,):
+    with _open_outputs(args.out, source=args.infile) as (fh,):
         altio.write_samples_csv(s, fh)
 
 
@@ -184,7 +195,8 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
 def cmd_interpolate(args) -> None:
     interp = alt_interpolate_direct(_read_samples(args))
     slicing = args.slice is not None
-    with _open_outputs(args.out, *([args.slice_out] if slicing else [])) as fhs:
+    with _open_outputs(args.out, *([args.slice_out] if slicing else []),
+                       source=args.infile) as fhs:
         altio.write_coefficients_json(interp.coeffs, fhs[0])
         if slicing:
             _write_slice_csv(interp, args.slice, args.res, fhs[1])

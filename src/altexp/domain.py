@@ -159,4 +159,4 @@ def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     r, s, t = domain_table(0, g.n - 1).index.T
     x = g._axis()
     cells = index_cells(0, g.n - 1) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
-    write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)), key=3)
+    write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)))

@@ -30,6 +30,14 @@ def _phase(theta):
     return np.exp(_TWO_PI * 1j * np.mod(theta, 1.0))
 
 
+def _frac(v):
+    return np.mod(v, 1.0)
+
+
+def _unreduced(v):
+    return v
+
+
 def eval_E(t: Sequence, p) -> complex:
     """Evaluate E_t at point(s) p.
 
@@ -43,9 +51,15 @@ def eval_E(t: Sequence, p) -> complex:
     if _is_integer_triple(t):
         # integer cycles drop out, so the coordinates reduce mod 1 as well
         x, y, z = np.mod(x, 1.0), np.mod(y, 1.0), np.mod(z, 1.0)
-    val = (_phase(lam * x + mu * y + nu * z)
-           + _phase(lam * z + mu * x + nu * y)
-           + _phase(lam * y + mu * z + nu * x))
+        frac = _unreduced
+    else:
+        # a real label keeps whole cycles in each product; reducing each
+        # product before the sum keeps the sum's rounding of unit size, so
+        # a rotated label or point gives E to a few ulps of 1
+        frac = _frac
+    val = (_phase(frac(lam * x) + frac(mu * y) + frac(nu * z))
+           + _phase(frac(lam * z) + frac(mu * x) + frac(nu * y))
+           + _phase(frac(lam * y) + frac(mu * z) + frac(nu * x)))
     if val.ndim == 0:
         return complex(val)
     return val

@@ -56,7 +56,8 @@ def bump(params: BumpParams, p) -> float | np.ndarray:
     array, for which an array of its leading shape is returned.
 
     Sample files and error tables carry these bits, and a point must give
-    the bits of its row in an array, so both paths take the same steps:
+    the bits of its row in an array, so both paths take the same steps,
+    written once; only the shell tail differs:
     the squared distance summed left to right, dx*dx + dy*dy + dz*dz (the
     order ``np.sum`` takes over a length-3 axis; dx*dx, not dx**2, which
     on a float64 scalar goes through libm ``pow``), a correctly rounded
@@ -66,18 +67,17 @@ def bump(params: BumpParams, p) -> float | np.ndarray:
     cost per call would be most of the work on three numbers.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape == (3,):
-        (x, y, z), (cx, cy, cz) = p.tolist(), params.center
-        dx, dy, dz = x - cx, y - cy, z - cz
-        r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        q = (r - params.alpha) / (params.beta - params.alpha)
+    point = p.shape == (3,)
+    # an array's coordinates are views p[..., j]; unpacking refuses a last axis not 3
+    coords = p.tolist() if point else (p[..., j] for j in range(p.shape[-1]))
+    (x, y, z), (cx, cy, cz) = coords, params.center
+    dx, dy, dz = x - cx, y - cy, z - cz
+    r = (math.sqrt if point else np.sqrt)(dx * dx + dy * dy + dz * dz)
+    q = (r - params.alpha) / (params.beta - params.alpha)
+    if point:
         if 0.0 <= q < 1.0:
             return float(math.e * np.exp(1.0 / (q * q - 1.0)))
         return float(r < params.alpha)
-    d = p - np.asarray(params.center, dtype=float)
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    q = (r - params.alpha) / (params.beta - params.alpha)
     out = np.asarray(r < params.alpha, dtype=float)
     shell = (q >= 0.0) & (q < 1.0)    # alpha <= r <= beta, less q rounded to 1
     if shell.any():
@@ -87,6 +87,9 @@ def bump(params: BumpParams, p) -> float | np.ndarray:
 
 
 def _midpoints(n: int) -> np.ndarray:
+    """The n cell midpoints of [0, 1]; the one check of a count n: an int >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"subdivision count must be an integer >= 1, got {n!r}")
     return (np.arange(n) + 0.5) / n
 
 
@@ -100,8 +103,6 @@ def _region_sum(n: int, block_values: Callable):
     summed whole, zero off the block, by numpy's pairwise summation, so
     results are deterministic and independent of any threading.
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
     u = _midpoints(n)
     pts = np.empty((n, n, 3))
     pts[..., 0] = u[:, None]
@@ -135,7 +136,7 @@ def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     """
     period = interp.grid.period
     u = _midpoints(n) * period
-    chunk = max(1, (1 << 22) // max(n * n, 1))    # _region_sum refuses n < 1
+    chunk = max(1, (1 << 22) // (n * n))
     psi = None
 
     def squared_error(k, pts):
@@ -164,8 +165,6 @@ def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums S,
     so the cost is O(n), not O(n^3).
     """
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
     u = _midpoints(n)
     total = 0j
     for a1, b1, c1 in rotations(t):

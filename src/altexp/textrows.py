@@ -25,7 +25,7 @@ class NonFiniteError(ValueError):
 
 
 def write_rows(fh: TextIO, head: str, cells: Sequence, row: str, values: np.ndarray,
-               sep: str = "", tail: str = "", key: int | None = None) -> None:
+               sep: str = "", tail: str = "") -> None:
     """Write ``head``, then every row i joined by ``sep``, then ``tail``.
 
     Row i is the text of its cells followed by ``row % tuple(values[i])``.
@@ -33,15 +33,14 @@ def write_rows(fh: TextIO, head: str, cells: Sequence, row: str, values: np.ndar
     is ``fmt % axis[at[i]]``, and each entry of ``axis`` is formatted once.
     ``values`` is (n, j).  A non-finite number in any row is refused before
     anything is written, naming the first such row by the numbers of its
-    first ``key`` cells (all by default) and then giving its other numbers.
+    first three cells (its index or coordinates) and then its other numbers.
     """
     bad = ~np.isfinite(values).all(axis=1)
     for axis, at, _ in cells:
         bad |= ~np.isfinite(axis)[at]
     if bad.any():
-        i = np.argmax(bad)
+        i, key = np.argmax(bad), min(3, len(cells))
         found = [axis[at[i]].item() for axis, at, _ in cells] + values[i].tolist()
-        key = len(cells) if key is None else key
         raise NonFiniteError(f"refusing to write non-finite values at {tuple(found[:key])}: "
                              f"{tuple(found[key:])}")
     tables = [(np.array([fmt % v for v in axis.tolist()], dtype=object), at)

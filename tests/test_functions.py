@@ -41,6 +41,7 @@ def test_eval_vectorized_matches_scalar():
 
 @given(real3, real3)
 @example((3.0, 3.75, 3.7109955707309386), (3.625, 3.546258315045545, 3.7109955707309386))
+@example((-1.0, -3.5, -3.6875), (3.962463218319833,) * 3)
 @settings(max_examples=40)
 def test_cyclic_symmetry(t, p):
     x, y, z = p

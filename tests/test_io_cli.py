@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -346,6 +348,64 @@ def test_cli_interpolate_refuses_one_file_for_both_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {slice_out}: names the same file as another output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "s.csv"]
+
+
+def test_cli_refuses_an_output_that_names_the_input(tmp_path, capsys):
+    # the output would replace the input: refuse before writing any output
+    s_csv, _ = sample_lines(tmp_path)
+    b_json = tmp_path / "b.json"
+    assert run(["transform", "--in", s_csv, "--N", 3, "--out", b_json]) == 0
+    (tmp_path / "d").mkdir()
+    before = {p: p.read_bytes() for p in (s_csv, b_json)}
+    os.symlink(s_csv, tmp_path / "link.csv")
+    lat = ["--N", 3]
+    for argv, out in [
+            (["transform", "--in", s_csv, *lat, "--out", s_csv], s_csv),
+            (["transform", "--in", s_csv, *lat, "--out", tmp_path / "link.csv"],
+             tmp_path / "link.csv"),
+            (["inverse", "--in", b_json, "--out", tmp_path / "d" / ".." / "b.json"],
+             tmp_path / "d" / ".." / "b.json"),
+            (["interpolate", "--in", s_csv, *lat, "--out", tmp_path / "i.json",
+              "--slice", "z=0.25", "--res", 4, "--slice-out", s_csv], s_csv)]:
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {out}: names the same file as the input\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "d", "link.csv", "s.csv"]
+        assert all(p.read_bytes() == text for p, text in before.items())
+
+
+def test_cli_output_through_a_symlink_writes_its_target(tmp_path):
+    expected = tmp_path / "plain.csv"
+    assert run(["grid", "--N", 2, "--out", expected]) == 0
+    (tmp_path / "d").mkdir()
+    target, link = tmp_path / "d" / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    os.symlink(target, link)
+    assert run(["grid", "--N", 2, "--out", link]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "d", "link.csv", "plain.csv", "target.csv"]
+
+
+def test_cli_output_to_a_fifo_is_written_in_place(tmp_path):
+    expected = tmp_path / "plain.csv"
+    assert run(["grid", "--N", 5, "--out", expected]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+
+    def read_all():    # its open waits for the writer's
+        with open(fifo, "rb") as fh:
+            chunks.extend(iter(lambda: fh.read(4096), b""))
+
+    reader = threading.Thread(target=read_all, daemon=True)
+    reader.start()
+    assert run(["grid", "--N", 5, "--out", fifo]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert b"".join(chunks) == expected.read_bytes()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "plain.csv"]
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

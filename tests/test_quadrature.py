@@ -115,6 +115,11 @@ def test_bump_matches_reference_bitwise():
     for m in (1, 7, 1000, 4096):
         pts = FA.center + rng.uniform(-0.25, 0.25, (m, 3))
         assert same_bits(bump(FA, pts), bump_reference(FA, pts))
+    # the array path reads its coordinates as views of p: other layouts and dtypes
+    wide = np.repeat(FA.center, 2) + rng.uniform(-0.25, 0.25, (40, 30, 6))
+    for pts in (wide[::3, 1::2, ::2], np.asfortranarray(wide[..., 1::2]),
+                wide[..., ::2].astype(np.float32)):
+        assert same_bits(bump(FA, pts), bump_reference(FA, pts))
     for p in rng.uniform(0.45, 1.05, (3000, 3)):
         value = bump(FA, p)
         assert type(value) is float
@@ -136,6 +141,9 @@ def test_bump_at_center_and_radii():
 def test_bump_validation():
     with pytest.raises(ValueError):
         BumpParams(0.2, 0.1, (0, 0, 0))
+    for shape in ((5, 2), (5, 4), (2, 3, 4)):    # a last axis that is not x, y, z
+        with pytest.raises(ValueError):
+            bump(FA, np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.1, math.inf), (math.inf, math.inf),
@@ -338,7 +346,7 @@ def test_interpolation_error_calls_f_only_in_region(n):
         lambda pts: bump(FA, pts), interp, n))
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(4.0)])
 def test_quadrature_rejects_nonpositive_subdivisions(n):
     interp = _bump_lattice_interpolant(3)
     f = lambda pts: bump(FA, pts)
@@ -346,3 +354,11 @@ def test_quadrature_rejects_nonpositive_subdivisions(n):
                  lambda: continuous_gram_entry((0, 0, 0), (0, 0, 0), n)):
         with pytest.raises(ValueError, match="subdivision count"):
             call()
+
+
+def test_quadrature_numpy_integer_count_gives_the_bits_of_an_int():
+    interp = _bump_lattice_interpolant(3)
+    f = lambda pts: bump(FA, pts)
+    for call in (lambda n: integrate_over_F(f, n), lambda n: interpolation_error(f, interp, n),
+                 lambda n: continuous_gram_entry((2, 1, 0), (2, 1, 0), n)):
+        assert same_bits(call(np.int64(3)), call(3))
