@@ -7,11 +7,15 @@ verification failure (any failed check, the C_3 group orders included),
 2 usage error, 3 I/O or format error, naming the file, 4 out of memory,
 naming the command line, 5 any other internal error, naming the
 exception type, 6 numerical failure: valid input whose result is not
-finite, refused by the writer, which names the first bad row.  The
-commands run the fast paths only; ``verify transform`` and ``verify
-interpolation`` check them against the naive-sum and remap oracles.
-``verify`` has no fault switch: the tests inject faults by
-monkeypatching.
+finite, refused by the writer, which names the first bad row.  ``main``
+checks and opens every output before a command reads or computes
+anything, and the command writes to the handles it is given, so an
+output that names the input or cannot be opened is reported ahead of a
+bad input or flag value.  An empty ``--in``, ``--out`` or ``--slice-out``
+is a usage error naming the flag.  The commands run the fast paths only;
+``verify transform`` and ``verify interpolation`` check them against the
+naive-sum and remap oracles.  ``verify`` has no fault switch: the tests
+inject faults by monkeypatching.
 """
 
 from __future__ import annotations
@@ -86,32 +90,39 @@ def _sample_lattice(g: GridSpec, fn) -> SampleSet:
 
 
 def _read_input(path, read):
-    """``read(fh)`` on the text file at ``path``.  A failure to open, read,
-    decode or parse it raises OSError or FormatError naming ``path``."""
+    """``read(fh)`` on the text file at ``path``; a failure to open, read,
+    decode or parse it raises FormatError naming ``path``, never OSError."""
     try:
         with open(path) as fh:
             return read(fh)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+        raise altio.FormatError(f"{path}: {exc.strerror}") from None
     except (UnicodeDecodeError, altio.FormatError) as exc:
         raise altio.FormatError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
-def _open_outputs(*paths, source=None):
-    """Open a temporary file beside every output's real path before any is written.
+def _open_outputs(args):
+    """Handles for the outputs of ``args``: ``--out``, ``--slice-out`` with
+    ``--slice``, or standard output without ``--out``.
 
-    Once the body returns, each one is moved onto that path with
-    ``os.replace``, so a symlink keeps its link.  If an open fails, or the
-    body raises, the temporary files are removed, so a failed command
-    leaves no partial output and any earlier file of the same name as it
-    was.  An existing output that is not a regular file (a device or a
-    FIFO) is written in place.  An output that names the same file as the
-    input ``source`` or an earlier output is refused before any is opened.
+    An output naming the same file as ``--in`` or an earlier output is
+    refused before any is opened.  Each is a temporary file beside its real
+    path, moved onto it by ``os.replace`` once the body returns (a symlink
+    keeps its link), and removed if an open fails or the body raises: a
+    failed command leaves no partial output and an earlier file as it was.
+    An existing output that is not a regular file (a device or a FIFO) is
+    written in place.  An OSError in the body is reported as the outputs'.
     """
+    if args.out is None:
+        yield [sys.stdout]
+        return
+    slicing = getattr(args, "slice", None) is not None
+    paths = [args.out, args.slice_out] if slicing else [args.out]
     real = [os.path.realpath(p) for p in paths]
+    sources = [os.path.realpath(args.infile)] if hasattr(args, "infile") else []
     for i, path in enumerate(paths):
-        if source is not None and real[i] == os.path.realpath(source):
+        if real[i] in sources:
             raise ValueError(f"{path}: names the same file as the input")
         if real[i] in real[:i]:
             raise ValueError(f"{path}: names the same file as another output")
@@ -126,7 +137,7 @@ def _open_outputs(*paths, source=None):
                 head, name = os.path.split(target)
                 tmps.append(os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp"))
                 fhs.append(open(tmps[-1], "x"))   # the umask-derived mode of open(path, "w")
-        path = ", ".join(map(str, paths))   # a write in the body may hit any of them
+        path = ", ".join(map(str, paths))   # the body may fail on any of them
         yield fhs
         for fh, tmp, target, path in zip(fhs, tmps, real, paths):
             fh.close()
@@ -142,16 +153,13 @@ def _open_outputs(*paths, source=None):
                     os.remove(tmp)
 
 
-def cmd_grid(args) -> None:
-    g = _grid_from_args(args)
-    with _open_outputs(args.out) as (fh,):
-        write_grid_csv(g, fh)
+def cmd_grid(args, fh) -> None:
+    write_grid_csv(_grid_from_args(args), fh)
 
 
-def cmd_sample(args) -> None:
+def cmd_sample(args, fh) -> None:
     s = _sample_lattice(_grid_from_args(args), _builtin_function(args))
-    with _open_outputs(args.out) as (fh,):
-        altio.write_samples_csv(s, fh)
+    altio.write_samples_csv(s, fh)
 
 
 def _read_samples(args) -> SampleSet:
@@ -159,10 +167,8 @@ def _read_samples(args) -> SampleSet:
     return _read_input(args.infile, lambda fh: altio.read_samples_csv(g, fh))
 
 
-def cmd_transform(args) -> None:
-    coeffs = adft_forward(_read_samples(args))
-    with _open_outputs(args.out, source=args.infile) as (fh,):
-        altio.write_coefficients_json(coeffs, fh)
+def cmd_transform(args, fh) -> None:
+    altio.write_coefficients_json(adft_forward(_read_samples(args)), fh)
 
 
 def _read_beta(fh):
@@ -172,10 +178,8 @@ def _read_beta(fh):
     return c
 
 
-def cmd_inverse(args) -> None:
-    s = adft_inverse(_read_input(args.infile, _read_beta))
-    with _open_outputs(args.out, source=args.infile) as (fh,):
-        altio.write_samples_csv(s, fh)
+def cmd_inverse(args, fh) -> None:
+    altio.write_samples_csv(adft_inverse(_read_input(args.infile, _read_beta)), fh)
 
 
 def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
@@ -192,43 +196,32 @@ def _write_slice_csv(interp: InterpolantAlt, z: float, res: int, fh) -> None:
                "%.17g,%.17g\n", np.column_stack([vals.real, vals.imag]))
 
 
-def cmd_interpolate(args) -> None:
+def cmd_interpolate(args, fh, slice_fh=None) -> None:
     interp = alt_interpolate_direct(_read_samples(args))
-    slicing = args.slice is not None
-    with _open_outputs(args.out, *([args.slice_out] if slicing else []),
-                       source=args.infile) as fhs:
-        altio.write_coefficients_json(interp.coeffs, fhs[0])
-        if slicing:
-            _write_slice_csv(interp, args.slice, args.res, fhs[1])
+    altio.write_coefficients_json(interp.coeffs, fh)
+    if slice_fh is not None:
+        _write_slice_csv(interp, args.slice, args.res, slice_fh)
 
 
-def _open_output_or_stdout(path):
-    """``_open_outputs(path)``, or standard output when ``path`` is unset or empty."""
-    return _open_outputs(path) if path else contextlib.nullcontext([sys.stdout])
-
-
-def cmd_verify(args) -> bool:
+def cmd_verify(args, fh) -> bool:
     from .verify import run_suite
     results = run_suite(args.suite, seed=args.seed)
     report = {"seed": args.seed, "suite": args.suite,
               "checks": [r.as_dict() for r in results],
               "pass": all(r.passed for r in results)}
-    with _open_output_or_stdout(args.out) as (out,):
-        out.write(json.dumps(report, indent=1) + "\n")
+    fh.write(json.dumps(report, indent=1) + "\n")
     return report["pass"]
 
 
-def cmd_error_table(args) -> None:
+def cmd_error_table(args, fh) -> None:
     f = _bump_from_args(args)
     errors = []
     for n in args.N:
-        g = GridSpec(args.a, args.b, n)
-        interp = alt_interpolate_direct(_sample_lattice(g, f))
+        interp = alt_interpolate_direct(_sample_lattice(GridSpec(args.a, args.b, n), f))
         quad_n = (256 if n >= 31 else 128) if args.quad_n is None else args.quad_n
         errors.append(interpolation_error(f, interp, quad_n))
-    with _open_output_or_stdout(args.out) as (out,):
-        write_rows(out, "N,error\n", [(np.array(args.N), np.arange(len(errors)), "%d,")],
-                   "%.17g\n", np.array(errors)[:, None])
+    write_rows(fh, "N,error\n", [(np.array(args.N), np.arange(len(errors)), "%d,")],
+               "%.17g\n", np.array(errors)[:, None])
 
 
 def _int_at_least(lo: int):
@@ -242,6 +235,12 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
         return value
     return parse
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
 
 
 def _z_slice(text: str) -> float:
@@ -288,42 +287,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="export lattice points as CSV")
     _add_grid_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sample", help="sample a built-in function on the lattice")
     p.add_argument("--f", required=True, help="const:<v>, E:k,l,m, or bump")
     _add_bump_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("transform", help="forward transform of a sample CSV")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
     _add_grid_flags(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("inverse", help="inverse transform of a coefficient JSON")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("interpolate", help="build the interpolant for a sample CSV")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
     _add_grid_flags(p)
     p.add_argument("--slice", type=_z_slice, default=None,
                    help="export a plane cut, e.g. z=0.25")
     p.add_argument("--res", type=_int_at_least(1), default=64, help="slice resolution")
-    p.add_argument("--slice-out", default="slice.csv")
-    p.add_argument("--out", required=True)
+    p.add_argument("--slice-out", type=_path, default="slice.csv")
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", "identities", "transform", "interpolation", "c3"])
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_path, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("error-table",
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bump_flags(p)
     p.add_argument("--quad-n", type=_int_at_least(1), default=None,
                    help="quadrature subdivisions per axis")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_path, default=None)
     p.set_defaults(func=cmd_error_table)
 
     return parser
@@ -345,9 +344,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a value that overflows is refused by the writers, in one line
-        with np.errstate(over="ignore", invalid="ignore"):
-            passed = args.func(args)     # only verify returns a verdict
-    except OSError as exc:           # the helpers set filename to the path
+        with np.errstate(over="ignore", invalid="ignore"), _open_outputs(args) as fhs:
+            passed = args.func(args, *fhs)     # only verify returns a verdict
+    except OSError as exc:           # an output's, named by _open_outputs
         msg, code = f"{exc.filename}: {exc.strerror}", EXIT_IO
     except altio.FormatError as exc:  # prefixed with the path by _read_input
         msg, code = str(exc), EXIT_IO

@@ -590,8 +590,14 @@ def test_slice_writer_refuses_non_finite():
 
 # ------------------------------------------------------ pinned CLI outputs
 
-# sha256 of each output as written before the block formatter (numpy 2.4.6,
-# OpenBLAS, x86-64), for the commands in cli_outputs
+# sha256 of each output of the commands in cli_outputs, set with numpy 2.4.6
+# on an x86-64 host where OpenBLAS picks SkylakeX kernels and numpy dispatches
+# up to AVX512_SPR.  Seven hold only on that host class (the byte contract in
+# the README): b6.json, b7.json, i7.json, inv6.csv, inv7.csv and slice7.csv go
+# through the zgemm of transform._separable and fail under
+# OPENBLAS_CORETYPE=Haswell; err.csv goes through numpy's SIMD exp and fails
+# under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4".  The grid, s
+# and e pins held under both.
 PINNED = {
     "b6.json": "c35d30d4b7661ba0914bb77c348de0a6ab1b67fd5ca9c5edda54a25f22a87bb2",
     "b7.json": "7dadb6ee59d5113c9397f40dd809275fd5adf56c83f5ba2def09ee8872413c34",

@@ -328,13 +328,26 @@ def test_cli_verify_identities_report(tmp_path):
     assert all(c["pass"] is True for c in json.loads(rpt.read_text())["checks"])
 
 
-def test_cli_interpolate_leaves_no_output_when_slice_out_fails(tmp_path, capsys):
+def spy_on_readers(monkeypatch):
+    """The names of the input readers called from now on."""
+    calls = []
+    for name in ("read_samples_csv", "read_coefficients_json"):
+        def spy(*args, name=name, read=getattr(cli.altio, name)):
+            calls.append(name)
+            return read(*args)
+        monkeypatch.setattr(cli.altio, name, spy)
+    return calls
+
+
+def test_cli_interpolate_leaves_no_output_when_slice_out_fails(tmp_path, capsys, monkeypatch):
     s_csv, _ = sample_lines(tmp_path)
     out = tmp_path / "i.json"
+    reads = spy_on_readers(monkeypatch)
     assert run(["interpolate", "--in", s_csv, "--N", 3, "--out", out,
                 "--slice", "z=0.2", "--slice-out", tmp_path / "nodir" / "c.csv"]) == 3
     assert "nodir" in capsys.readouterr().err
     assert not out.exists()
+    assert reads == []      # refused before the input is read
 
 
 def test_cli_interpolate_refuses_one_file_for_both_outputs(tmp_path, capsys):
@@ -350,7 +363,7 @@ def test_cli_interpolate_refuses_one_file_for_both_outputs(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "s.csv"]
 
 
-def test_cli_refuses_an_output_that_names_the_input(tmp_path, capsys):
+def test_cli_refuses_an_output_that_names_the_input(tmp_path, capsys, monkeypatch):
     # the output would replace the input: refuse before writing any output
     s_csv, _ = sample_lines(tmp_path)
     b_json = tmp_path / "b.json"
@@ -358,6 +371,7 @@ def test_cli_refuses_an_output_that_names_the_input(tmp_path, capsys):
     (tmp_path / "d").mkdir()
     before = {p: p.read_bytes() for p in (s_csv, b_json)}
     os.symlink(s_csv, tmp_path / "link.csv")
+    reads = spy_on_readers(monkeypatch)
     lat = ["--N", 3]
     for argv, out in [
             (["transform", "--in", s_csv, *lat, "--out", s_csv], s_csv),
@@ -371,6 +385,27 @@ def test_cli_refuses_an_output_that_names_the_input(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {out}: names the same file as the input\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "d", "link.csv", "s.csv"]
         assert all(p.read_bytes() == text for p, text in before.items())
+        assert reads == []      # refused before the input is read
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["grid", "--N", 2, "--out", ""], "--out", id="grid-out"),
+    pytest.param(["transform", "--in", "", "--N", 2, "--out", "b.json"], "--in",
+                 id="transform-in"),
+    pytest.param(["interpolate", "--in", "s.csv", "--N", 3, "--out", "i.json",
+                  "--slice", "z=0.2", "--slice-out", ""], "--slice-out",
+                 id="interpolate-slice-out"),
+    pytest.param(["verify", "c3", "--out", ""], "--out", id="verify-out")])
+def test_cli_refuses_an_empty_path(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    sample_lines(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"altexp {argv[0]}: error: argument {flag}: must be a non-empty path")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 def test_cli_output_through_a_symlink_writes_its_target(tmp_path):
