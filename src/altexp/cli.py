@@ -112,10 +112,20 @@ def _open_outputs(args):
     keeps its link), and removed if an open fails or the body raises: a
     failed command leaves no partial output and an earlier file as it was.
     An existing output that is not a regular file (a device or a FIFO) is
-    written in place.  An OSError in the body is reported as the outputs'.
+    written in place.  An OSError in the body is reported as the outputs',
+    and one writing standard output (a closed pipe) as ``<stdout>``'s.
     """
     if args.out is None:
-        yield [sys.stdout]
+        try:
+            yield [sys.stdout]
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left in the buffer would fail again when Python
+            # flushes the stream at exit, so it goes to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OSError(exc.errno, exc.strerror, "<stdout>") from None
         return
     slicing = getattr(args, "slice", None) is not None
     paths = [args.out, args.slice_out] if slicing else [args.out]

@@ -7,23 +7,28 @@ enumeration order.  CSV floats are written with 17 significant digits and
 JSON floats in the shortest form that reads back to the same double
 (``float.__repr__``), so outputs are byte-reproducible and round-trip
 exactly.  The writers stream rows in blocks (``textrows``) and refuse
-non-finite values before writing anything.  The readers convert whole
-columns at once and name the first bad line or entry; both hand their
-k, l and m columns to one key check (``_place``), which counts the rows
-at each enumeration position.
+non-finite values before writing anything.  The sample reader hands its
+body to numpy's C parser (``np.loadtxt`` with one int64 or float64 field
+per column; it rounds a float as ``float()`` does), a chunk of lines at a
+time.  A body numpy refuses, one with a character numpy reads unlike
+``int()`` and ``float()``, or one with a value that is not finite is
+parsed line by line with those two, which name the first bad line.  The
+JSON reader converts each entry field as one column and names the first
+bad entry.  Both hand their k, l and m columns to one key check
+(``_place``), which counts the rows at each enumeration position.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from operator import methodcaller
+import warnings
 from typing import TextIO
 
 import numpy as np
 
 from .domain import GridSpec, domain_positions, domain_table, index_cells
-from .textrows import BLOCK, write_rows
+from .textrows import write_rows
 from .transform import CoefficientSet, SampleSet
 
 
@@ -45,7 +50,7 @@ def _place(n1: int, n2: int, cols, values: np.ndarray, where, what: str) -> np.n
     pos = domain_positions(n1, n2, np.array(cols).T)
 
     def key(i):
-        return tuple(c[i] for c in cols)
+        return tuple(int(c[i]) for c in cols)
 
     bad = np.flatnonzero(pos < 0)
     if bad.size:
@@ -74,52 +79,71 @@ def write_samples_csv(s: SampleSet, fh: TextIO) -> None:
                _pairs(s.values))
 
 
-def _sample_row_error(lines: list) -> None:
-    """Raise the FormatError of the first malformed line of a sample body."""
+_SAMPLE_ROW = np.dtype([("r", np.int64), ("s", np.int64), ("t", np.int64),
+                        ("re", float), ("im", float)])
+
+
+def _lines(text: str, size: int = 1 << 16):
+    """The items of ``text.split("\n")``, split about ``size`` characters at a time."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + size)
+        end = len(text) if end < 0 else end
+        yield from text[start:end].split("\n")
+        start = end + 1
+
+
+def _parse_sample_lines(lines) -> tuple:
+    """The r, s and t columns and the values of a sample body, parsed line
+    by line with ``int`` and ``float``; ``lines`` starts at line 2 and its
+    blank lines are skipped.  Raise the FormatError of the first bad line."""
+    cols, values = ([], [], []), []
     for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 5:
             raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            for p in parts[:3]:
-                int(p)
+            key = [int(p) for p in parts[:3]]
             re, im = float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise FormatError(f"line {lineno}: sample value {parts[3]},{parts[4]} is not finite")
+        for col, k in zip(cols, key):
+            col.append(k)
+        values.append(complex(re, im))
+    return cols, np.array(values, dtype=complex)
 
 
 def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
     header = fh.readline().strip()
     if header != "r,s,t,re,im":
         raise FormatError(f"line 1: expected header 'r,s,t,re,im', got {header!r}")
-    lines = [line.strip() for line in fh.read().split("\n")]
-    rows = list(filter(None, lines))
-    cols = ([], [], [])
-    values = np.empty(len(rows), dtype=complex)
-    # the fields convert column by column, a block of rows at a time; any
-    # bad line sends the body through the per-line checks, which name it
+    body = fh.read()
+    # numpy's C parser reads the body; it takes as whitespace the \x1c-\x1f
+    # that int() and float() refuse, and reads some non-ASCII letters as
+    # digits, so a body with those, a line it refuses or a value that is not
+    # finite goes through the line-by-line parse, which names the bad line
     try:
-        if set(map(methodcaller("count", ","), rows)) - {4}:
-            raise ValueError("a line does not have 5 fields")
-        for start in range(0, len(rows), BLOCK):
-            fields = ",".join(rows[start:start + BLOCK]).split(",")
-            for j, col in enumerate(cols):
-                col.extend(map(int, fields[j::5]))
-            block = values[start:start + BLOCK]
-            block.real, block.imag = (np.fromiter(map(float, fields[j::5]), float)
-                                      for j in (3, 4))
+        if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a character numpy reads unlike Python")
+        with warnings.catch_warnings():     # numpy warns of a body with no rows
+            warnings.simplefilter("ignore")
+            rows = np.loadtxt(_lines(body), _SAMPLE_ROW, delimiter=",", comments=None,
+                              ndmin=1)
+        cols = [rows[c] for c in "rst"]
+        values = np.empty(len(rows), dtype=complex)
+        values.real, values.imag = rows["re"], rows["im"]
         if not np.isfinite(values).all():
             raise ValueError("a sample value is not finite")
     except ValueError:
-        _sample_row_error(lines)
-        raise
+        cols, values = _parse_sample_lines(_lines(body))
 
-    def where(i):
-        return f"line {np.flatnonzero(list(map(bool, lines)))[i] + 2}"
+    def where(i):   # numpy skips blank lines: count them for a message only
+        return f"line {[n for n, line in enumerate(_lines(body), 2) if line.strip()][i]}"
 
     return SampleSet(grid, _place(0, grid.n - 1, cols, values, where,
                                   f"N={grid.n} lattice"))

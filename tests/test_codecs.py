@@ -11,11 +11,13 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from altexp import io as altio
 from altexp.cli import _write_slice_csv, main
 from altexp.domain import GridSpec, domain_positions, domain_table, write_grid_csv
 from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
@@ -414,6 +416,56 @@ def test_sample_reader_keeps_negative_zero():
     g, text = sample_text()
     back = read_samples_csv(g, io.StringIO(text))
     assert math.copysign(1.0, back.values[0].real) == -1.0
+
+
+MAX = 1.7976931348623157e308
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(finite, min_size=8, max_size=8), fmt=st.sampled_from(["%.17g", "%r"]))
+@example(parts=[-0.0, 5e-324, -5e-324, MAX, -MAX, 2.2250738585072014e-308, 0.0, -1e-320],
+         fmt="%.17g")
+@example(parts=[-0.0, 5e-324, -5e-324, MAX, -MAX, 2.2250738585072014e-308, 0.0, -1e-320],
+         fmt="%r")
+def test_sample_reader_keeps_the_bits_of_float(parts, fmt):
+    # numpy's parser reads these (ASCII, finite): each value has the bits float() gives
+    g = GridSpec(0.31, 0.37, 2)
+    texts = [fmt % v for v in parts]
+    rows = [f"{r},{s},{t},{texts[i]},{texts[i + 4]}"
+            for i, (r, s, t) in enumerate(domain_table(0, 1).index.tolist())]
+    back = read_samples_csv(g, io.StringIO("r,s,t,re,im\n" + "\n".join(rows) + "\n"))
+    want = np.array([float(t) for t in texts])
+    assert np.array_equal(back.values.real.view(np.uint64), want[:4].view(np.uint64))
+    assert np.array_equal(back.values.imag.view(np.uint64), want[4:].view(np.uint64))
+
+
+def test_sample_reader_paths_give_the_same_bits(monkeypatch):
+    g, text = sample_text(20)            # more than one 64K-character chunk of lines
+    parsed = []
+
+    def parse(lines):
+        parsed.append(True)
+        return real(lines)
+
+    real = altio._parse_sample_lines
+    monkeypatch.setattr(altio, "_parse_sample_lines", parse)
+    plain = read_samples_csv(g, io.StringIO(text))
+    assert not parsed                    # numpy's parser read it
+    assert_same_outcome(read_samples_csv(g, io.StringIO(text.replace("\n", "\r\n"))), plain)
+    # a non-ASCII space, which int() and float() strip, goes line by line
+    assert_same_outcome(read_samples_csv(g, io.StringIO(text.replace("\n", "\u2003\n"))),
+                        plain)
+    assert parsed
+    assert_same_outcome(plain, old_read_samples_csv(g, io.StringIO(text)))
+
+
+@pytest.mark.parametrize("text", ["r,s,t,re,im", "r,s,t,re,im\n", "r,s,t,re,im\n\n\n",
+                                  "r,s,t,re,im\n\n \n\t\n\n"])
+def test_sample_reader_lets_no_warning_escape(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MissingKeyError):
+            read_samples_csv(GridSpec(0, 0, 2), io.StringIO(text))
 
 
 FIELD_VALUES = [True, False, 1.0, "1", None, math.nan, math.inf, -math.inf, 10 ** 400,

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -715,3 +717,21 @@ def test_cli_keyboard_interrupt_is_not_caught(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "GridSpec", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run(["grid", "--N", 3, "--out", tmp_path / "g.csv"])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["verify", "c3"], ["error-table", "--N", "3", "--quad-n", "8"]])
+def test_cli_closed_stdout_is_one_error_line(argv, unbuffered):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)      # before the child starts, so its every write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "altexp.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    # one line and exit 3: no "Exception ignored ... BrokenPipeError" at exit
+    assert proc.stderr.decode() == "error: <stdout>: Broken pipe\n"
+    assert proc.returncode == cli.EXIT_IO == 3
