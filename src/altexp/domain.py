@@ -6,10 +6,12 @@ semidominant, so semidominant triples are canonical representatives of
 cyclic label orbits.  The grids sampled here live inside the fundamental
 region of the unit cube cut out by x > z and y > z.
 
-A lattice has N distinct coordinates per axis (``GridSpec._axis``), which
-its points gather by index.  The lattice writers gather the text of each
-index (``index_cells``), and the grid CSV also that of each coordinate,
-from per-axis tables: each value is formatted once, not once per row.
+An index range D(n1, n2) is described once, by its cached table with its
+index axis n1..n2 (``domain_table``), which the key lookup and the writers'
+index cells (``index_cells``) take.  A lattice has N distinct coordinates
+per axis (``GridSpec._axis``), which its points gather by index.  The
+lattice writers gather the text of each index, and the grid CSV also that
+of each coordinate, from per-axis tables: each value is formatted once.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class DomainTable(NamedTuple):
     """Read-only arrays describing D(n1, n2) in enumeration order.
 
     ``index`` is the (P, 3) array of semidominant triples, ``weight`` the
-    orbit weights G, and ``rot`` the (P, 3) flat positions, in the cube
-    of side n2 - n1 + 1 offset by n1, of the three label rotations
+    orbit weights G, and ``rot`` the (P, 3) flat positions, in the cube with
+    ``axis`` (int64 n1..n2) along each side, of the three label rotations
     (k, l, m), (m, k, l), (l, m, k) whose plain exponentials sum to E.
     ``rot[:, 0]`` is strictly increasing.  ``pos``, the inverse of ``rot``,
     is that cube of int32: each cell holds the enumeration position of its
@@ -49,6 +51,11 @@ class DomainTable(NamedTuple):
     weight: np.ndarray
     rot: np.ndarray
     pos: np.ndarray
+    axis: np.ndarray
+
+    def offsets(self, keys) -> np.ndarray:
+        """The places along ``axis`` of the entries of ``keys`` (a non-empty range)."""
+        return np.asarray(keys) - int(self.axis[0])
 
 
 # A CLI command uses at most two ranges and no caller more than three, and a
@@ -69,18 +76,18 @@ def domain_table(n1: int, n2: int) -> DomainTable:
     pos = np.empty((side,) * 3, dtype=np.int32)
     pos.reshape(-1)[rot] = np.arange(len(rot), dtype=np.int32)[:, None]
     table = DomainTable(np.stack([k, l, m], axis=1) + n1,
-                        np.where((k == l) & (l == m), 3, 1), rot, pos)
+                        np.where((k == l) & (l == m), 3, 1), rot, pos,
+                        np.arange(n1, n1 + side, dtype=np.int64))
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
-def domain_positions(n1: int, n2: int, triples) -> np.ndarray:
-    """Enumeration positions of ``triples`` in a non-empty D(n1, n2); -1 where absent."""
-    table = domain_table(n1, n2)
-    side = n2 - n1 + 1
+def domain_positions(table: DomainTable, triples) -> np.ndarray:
+    """Enumeration positions of ``triples`` in a non-empty ``table``; -1 where absent."""
+    side = len(table.axis)
     # entries outside the range match nothing, and clipping keeps them outside
-    t = np.clip(np.asarray(triples).reshape(-1, 3) - n1, -1, side).astype(np.int64)
+    t = np.clip(table.offsets(np.asarray(triples).reshape(-1, 3)), -1, side).astype(np.int64)
     inside = np.all((t >= 0) & (t < side), axis=1)
     flat = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
     pos = table.pos.ravel()[flat]
@@ -143,11 +150,10 @@ class GridSpec:
         return self._axis()[domain_table(0, self.n - 1).index]
 
 
-def index_cells(n1: int, n2: int, fmts: Sequence[str] = ("%d,",) * 3) -> list:
+def index_cells(table: DomainTable, fmts: Sequence[str] = ("%d,",) * 3) -> list:
     """The k, l and m cell columns, formatted by ``fmts``, of the rows of
-    D(n1, n2) for ``write_rows``: each index is formatted once per column."""
-    index, axis = domain_table(n1, n2).index, np.arange(n1, n2 + 1)
-    return [(axis, index[:, j] - n1, fmt) for j, fmt in enumerate(fmts)]
+    ``table`` for ``write_rows``: each index is formatted once per column."""
+    return [(table.axis, table.offsets(table.index[:, j]), fmt) for j, fmt in enumerate(fmts)]
 
 
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
@@ -156,7 +162,7 @@ def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     Every cell of row (r, s, t) is gathered: the indices and the coordinates
     of ``GridSpec._axis``, each formatted once per column.
     """
-    r, s, t = domain_table(0, g.n - 1).index.T
-    x = g._axis()
-    cells = index_cells(0, g.n - 1) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
+    table, x = domain_table(0, g.n - 1), g._axis()
+    r, s, t = table.index.T
+    cells = index_cells(table) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
     write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)))

@@ -14,8 +14,9 @@ time.  A body numpy refuses, one with a character numpy reads unlike
 ``int()`` and ``float()``, or one with a value that is not finite is
 parsed line by line with those two, which name the first bad line.  The
 JSON reader converts each entry field as one column and names the first
-bad entry.  Both hand their k, l and m columns to one key check
-(``_place``), which counts the rows at each enumeration position.
+bad entry.  Both hand their k, l and m columns and the table of their
+index range to one key check (``_place``), which counts the rows at each
+enumeration position; the writers take their index cells from that table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .domain import GridSpec, domain_positions, domain_table, index_cells
+from .domain import DomainTable, GridSpec, domain_positions, domain_table, index_cells
 from .textrows import write_rows
 from .transform import CoefficientSet, SampleSet
 
@@ -40,14 +41,14 @@ class MissingKeyError(FormatError):
     """A sample or coefficient file lacks a required index triple."""
 
 
-def _place(n1: int, n2: int, cols, values: np.ndarray, where, what: str) -> np.ndarray:
-    """``values`` moved to the enumeration order of D(n1, n2).
+def _place(table: DomainTable, cols, values: np.ndarray, where, what: str) -> np.ndarray:
+    """``values`` moved to the enumeration order of the range of ``table``.
 
     ``cols`` holds the k, l and m of every row, column by column.  Every
     triple of the range must occur exactly once, which one count per
     position checks; ``where(i)`` names the input location of row i.
     """
-    pos = domain_positions(n1, n2, np.array(cols).T)
+    pos = domain_positions(table, np.array(cols).T)
 
     def key(i):
         return tuple(int(c[i]) for c in cols)
@@ -56,7 +57,6 @@ def _place(n1: int, n2: int, cols, values: np.ndarray, where, what: str) -> np.n
     if bad.size:
         i = bad[0]
         raise FormatError(f"{where(i)}: {key(i)} is not a triple of the {what}")
-    table = domain_table(n1, n2)
     counts = np.bincount(pos, minlength=len(table.index))
     dup = np.flatnonzero(counts > 1)
     if dup.size:
@@ -75,19 +75,20 @@ def _pairs(v: np.ndarray) -> np.ndarray:
 
 
 def write_samples_csv(s: SampleSet, fh: TextIO) -> None:
-    write_rows(fh, "r,s,t,re,im\n", index_cells(0, s.grid.n - 1), "%.17g,%.17g\n",
+    write_rows(fh, "r,s,t,re,im\n", index_cells(s.table), "%.17g,%.17g\n",
                _pairs(s.values))
 
 
 _SAMPLE_ROW = np.dtype([("r", np.int64), ("s", np.int64), ("t", np.int64),
                         ("re", float), ("im", float)])
+_CHUNK = 1 << 16    # characters of a sample body split into lines at a time
 
 
-def _lines(text: str, size: int = 1 << 16):
-    """The items of ``text.split("\n")``, split about ``size`` characters at a time."""
+def _lines(text: str):
+    """The items of ``text.split("\n")``, split about ``_CHUNK`` characters at a time."""
     start = 0
     while start <= len(text):
-        end = text.find("\n", start + size)
+        end = text.find("\n", start + _CHUNK)
         end = len(text) if end < 0 else end
         yield from text[start:end].split("\n")
         start = end + 1
@@ -145,7 +146,7 @@ def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
     def where(i):   # numpy skips blank lines: count them for a message only
         return f"line {[n for n, line in enumerate(_lines(body), 2) if line.strip()][i]}"
 
-    return SampleSet(grid, _place(0, grid.n - 1, cols, values, where,
+    return SampleSet(grid, _place(domain_table(0, grid.n - 1), cols, values, where,
                                   f"N={grid.n} lattice"))
 
 
@@ -156,7 +157,7 @@ def write_coefficients_json(c: CoefficientSet, fh: TextIO) -> None:
     head = json.dumps({"N": c.grid.n, "M": c.m, "a": c.grid.a, "b": c.grid.b,
                        "T": c.grid.period, "role": c.role}, indent=1, allow_nan=False)
     # the layout of json.dump(..., indent=1) with the coefficient list last
-    write_rows(fh, head[:-2] + ',\n "coeffs": [\n', index_cells(*c._range, _COEFF_KEYS),
+    write_rows(fh, head[:-2] + ',\n "coeffs": [\n', index_cells(c.table, _COEFF_KEYS),
                '   "re": %r,\n   "im": %r\n  }', _pairs(c.values), sep=",\n", tail="\n ]\n}\n")
 
 
@@ -224,6 +225,6 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     c = CoefficientSet(grid, role, np.empty(grid.point_count, dtype=complex))
-    c.values[:] = _place(*c._range, (k, l, m_), values, "coeffs[{}]".format,
+    c.values[:] = _place(c.table, (k, l, m_), values, "coeffs[{}]".format,
                          f"role {role!r} index range")
     return c

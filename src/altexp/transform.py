@@ -8,7 +8,8 @@ Forward transform of samples f on the lattice:
 with G the orbit-size weight (3 on the diagonal, 1 otherwise).  The
 inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
-A ``CoefficientSet``'s role alone picks its index range and frequencies.
+A ``CoefficientSet``'s role alone picks its index range, whose table holds
+the frequencies (``axis``), as a sample set's holds the lattice indices.
 One forward (``_forward``) fills either range by separable contractions.
 Every expansion of coefficients into values (the inverse, the interpolant)
 contracts the set's dense cube of plain exponentials (``_expand_tensor`` on
@@ -101,18 +102,9 @@ class CoefficientSet:
         return (self.grid.n - 1) // 2 if self.role == "c_alt" else None
 
     @property
-    def _range(self) -> tuple:
-        """(n1, n2) of the index range D(n1, n2): (0, N-1) or (-M, M)."""
-        return -(self.m or 0), self.grid.n - 1 - (self.m or 0)
-
-    @property
     def table(self) -> DomainTable:
-        return domain_table(*self._range)
-
-    @property
-    def _freqs(self) -> np.ndarray:
-        """The index values along each axis of the dense cube."""
-        return np.arange(self._range[0], self._range[1] + 1)
+        n, m = self.grid.n, self.m
+        return domain_table(0, n - 1) if self.role == "beta" else domain_table(-m, m)
 
     def _dense_cube(self) -> np.ndarray:
         """Plain-exponential coefficients on the index cube: each cell takes
@@ -148,15 +140,15 @@ def _forward(s: SampleSet, role: str) -> CoefficientSet:
     out = CoefficientSet(s.grid, role, np.empty(s.grid.point_count, dtype=complex))
     cube = np.zeros(n ** 3, dtype=complex)                    # zeros off the domain
     cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
-    table = _phase_table(out._freqs, _unit_coords(s.grid, np.arange(n)))
-    terms = _separable(cube.reshape(n, n, n), table, table, table).ravel()[out.table.rot]
+    phase = _phase_table(out.table.axis, _unit_coords(s.grid, s.table.axis))
+    terms = _separable(cube.reshape(n, n, n), phase, phase, phase).ravel()[out.table.rot]
     out.values[:] = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.table.weight * n ** 3)
     return out
 
 
 def _expand_tensor(c: CoefficientSet, xs, ys, zs) -> np.ndarray:
     """out[a, b, c] = sum_{klm} c_{klm} E_{(k,l,m)}(xs_a, ys_b, zs_c), unit period."""
-    tx, ty, tz = (_phase_table(c._freqs, u, sign=1).T for u in (xs, ys, zs))
+    tx, ty, tz = (_phase_table(c.table.axis, u, sign=1).T for u in (xs, ys, zs))
     # Contract z first, then y, then x: another order changes the last
     # digits of the error-table outputs.
     return _separable(c._dense_cube().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
@@ -170,7 +162,7 @@ def _expand_points(c: CoefficientSet, p):
     at a time keeps memory at O(points * (2M+1)).
     """
     p = np.mod(np.asarray(p, dtype=float), 1.0)
-    ex, ey, ez = (_phase_table(c._freqs, u, sign=1).T for u in p.reshape(-1, 3).T)
+    ex, ey, ez = (_phase_table(c.table.axis, u, sign=1).T for u in p.reshape(-1, 3).T)
     acc = sum(ex[:, k] * np.einsum("qm,qm->q", ey @ plane, ez)
               for k, plane in enumerate(c._dense_cube())).reshape(p.shape[:-1])
     return complex(acc) if acc.ndim == 0 else acc
@@ -185,5 +177,5 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    u = _unit_coords(c.grid, np.arange(c.grid.n))
+    u = _unit_coords(c.grid, c.table.axis)
     return SampleSet.from_array(c.grid, _expand_tensor(c, u, u, u).ravel()[c.table.rot[:, 0]])

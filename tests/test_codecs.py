@@ -77,8 +77,8 @@ def text_of(write, *args):
 
 # ------------------------------------------------------------- old readers
 
-def old_place(n1, n2, keys, values, where, what):
-    pos = domain_positions(n1, n2, keys)
+def old_place(table, keys, values, where, what):
+    pos = domain_positions(table, keys)
     bad = np.flatnonzero(pos < 0)
     if bad.size:
         i = bad[0]
@@ -88,7 +88,6 @@ def old_place(n1, n2, keys, values, where, what):
     if dup.size:
         i, j = order[dup[0]], order[dup[0] + 1]
         raise FormatError(f"{where[i]} and {where[j]}: duplicate triple {keys[i]}")
-    table = domain_table(n1, n2)
     out = np.zeros(len(table.index), dtype=complex)
     out[pos] = values
     if len(pos) < len(out):
@@ -121,7 +120,7 @@ def old_read_samples_csv(grid, fh):
         keys.append((r, s_, t))
         values.append(complex(re, im))
         where.append(f"line {lineno}")
-    return SampleSet(grid, old_place(0, grid.n - 1, keys, values, where,
+    return SampleSet(grid, old_place(domain_table(0, grid.n - 1), keys, values, where,
                                      f"N={grid.n} lattice"))
 
 
@@ -168,7 +167,7 @@ def old_read_coefficients_json(fh):
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     n1, n2 = (0, n - 1) if role == "beta" else (-m, m)
-    return CoefficientSet(grid, role, old_place(n1, n2, keys, values, where,
+    return CoefficientSet(grid, role, old_place(domain_table(n1, n2), keys, values, where,
                                                 f"role {role!r} index range"))
 
 
@@ -507,10 +506,20 @@ def test_coefficient_reader_matches_old_on_mutations(text):
                         outcome(old_read_coefficients_json, io.StringIO(text)))
 
 
-@pytest.mark.parametrize("coeffs", [[], [{"k": 0, "l": 0, "m": 0, "re": 1, "im": -0.0}]])
-def test_coefficient_reader_matches_old_on_edge_files(coeffs):
+ENTRY = {"k": 0, "l": 0, "m": 0, "re": 1, "im": -0.0}
+
+
+@pytest.mark.parametrize("coeffs, header", [
+    pytest.param([], {}, id="coeffs0"),
+    pytest.param([ENTRY], {}, id="coeffs1"),
+    pytest.param([ENTRY], {"role": "c_alt", "M": 1}, id="c_alt-N-not-2M+1"),
+    pytest.param([ENTRY], {"role": "c_alt"}, id="c_alt-M-null"),
+    pytest.param([ENTRY], {"a": 10 ** 400}, id="a-past-float"),
+    pytest.param([dict(ENTRY, re=10 ** 400)], {}, id="re-past-float"),
+])
+def test_coefficient_reader_matches_old_on_edge_files(coeffs, header):
     text = json.dumps({"N": 1, "M": None, "a": 0, "b": 0.5, "T": 1.0, "role": "beta",
-                       "coeffs": coeffs})
+                       "coeffs": coeffs, **header})
     assert_same_outcome(outcome(read_coefficients_json, io.StringIO(text)),
                         outcome(old_read_coefficients_json, io.StringIO(text)))
 

@@ -67,8 +67,8 @@ def test_enumerate_count_formula(n):
 
 
 def test_weight_g():
-    weight = domain_table(0, 2).weight[domain_positions(0, 2, [(1, 1, 1), (2, 1, 0),
-                                                              (0, 0, 0)])]
+    weight = domain_table(0, 2).weight[domain_positions(domain_table(0, 2), [
+        (1, 1, 1), (2, 1, 0), (0, 0, 0)])]
     assert weight.tolist() == [3, 1, 3]
 
 
@@ -147,18 +147,19 @@ def test_domain_table_matches_enumeration_and_is_read_only():
 
 def test_domain_positions():
     keys = list(map(tuple, domain_table(0, 3).index.tolist()))
-    assert domain_positions(0, 3, keys).tolist() == list(range(len(keys)))
-    assert domain_positions(0, 3, [(0, 1, 0), (4, 0, 0), (-1, 0, 0),
-                                   (3, 2, 1)]).tolist() == [-1, -1, -1,
-                                                             keys.index((3, 2, 1))]
+    assert domain_positions(domain_table(0, 3), keys).tolist() == list(range(len(keys)))
+    assert domain_positions(domain_table(0, 3), [(0, 1, 0), (4, 0, 0), (-1, 0, 0),
+                                                 (3, 2, 1)]).tolist() == [
+        -1, -1, -1, keys.index((3, 2, 1))]
     keys = list(map(tuple, domain_table(-2, 2).index.tolist()))
-    assert domain_positions(-2, 2, keys).tolist() == list(range(len(keys)))
+    assert domain_positions(domain_table(-2, 2), keys).tolist() == list(range(len(keys)))
     # negative entries, out of range on either side, a non-semidominant
     # rotation of a member, and an entry beyond int64
-    assert domain_positions(-2, 2, [(-2, -1, -2), (3, 0, 0), (0, 0, -3),
-                                    (-1, 0, 1), (0, 1, -1), (-1, -2, -2)]).tolist() == [
+    assert domain_positions(domain_table(-2, 2), [(-2, -1, -2), (3, 0, 0), (0, 0, -3),
+                                                  (-1, 0, 1), (0, 1, -1),
+                                                  (-1, -2, -2)]).tolist() == [
         -1, -1, -1, -1, keys.index((0, 1, -1)), keys.index((-1, -2, -2))]
-    assert domain_positions(0, 3, [(2 ** 63, 0, 0), (3, 2, 1)]).tolist() == [
+    assert domain_positions(domain_table(0, 3), [(2 ** 63, 0, 0), (3, 2, 1)]).tolist() == [
         -1, domain_table(0, 3).index.tolist().index([3, 2, 1])]
 
 

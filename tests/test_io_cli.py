@@ -669,6 +669,12 @@ def test_cli_verify_rejects_bad_seed(capsys, seed):
     assert "--seed" in err and repr(seed) in err
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    # the CLI's choices keep this name off the command line
+    with pytest.raises(ValueError, match=r"^unknown verification suite 'bogus'$"):
+        verify.run_suite("bogus")
+
+
 @pytest.mark.parametrize("detail", ["Unable to allocate 1.36 PiB", ""])
 def test_cli_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, detail):
     def no_memory(*args):     # stands in for an allocation too large for the host
