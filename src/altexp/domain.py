@@ -8,10 +8,12 @@ region of the unit cube cut out by x > z and y > z.
 
 An index range D(n1, n2) is described once, by its cached table with its
 index axis n1..n2 (``domain_table``), which the key lookup and the writers'
-index cells (``index_cells``) take.  A lattice has N distinct coordinates
-per axis (``GridSpec._axis``), which its points gather by index.  The
-lattice writers gather the text of each index, and the grid CSV also that
-of each coordinate, from per-axis tables: each value is formatted once.
+index cells (``index_cells``) take.  A lattice is described once, by its
+``GridSpec``: its table of D(0, N-1) (``table``) and its N physical and
+unit-period coordinates per axis (``_axis``, ``_unit_axis``), which points,
+writers, transforms and oracles gather by index.  The lattice writers gather
+the text of each index and coordinate from per-axis tables: each value is
+formatted once.
 """
 
 from __future__ import annotations
@@ -141,13 +143,23 @@ class GridSpec:
         """|D(0, N-1)| = N(N^2 + 2)/3, also |D(-M, M)| for N = 2M+1."""
         return self.n * (self.n * self.n + 2) // 3
 
+    @property
+    def table(self) -> DomainTable:
+        """The cached table of D(0, N-1), the lattice's index triples."""
+        return domain_table(0, self.n - 1)
+
+    # points are physical; the transforms use p / T, where orthogonality holds for any T
     def _axis(self) -> np.ndarray:
         """The N coordinates a + (r + b) T/N, r = 0..N-1, shared by all three axes."""
         return self.a + (np.arange(self.n) + self.b) * (self.period / self.n)
 
+    def _unit_axis(self) -> np.ndarray:
+        """The N unit-period coordinates a/T + (r + b)/N, r = 0..N-1."""
+        return (self.a / self.period) + (np.arange(self.n) + self.b) / self.n
+
     def points(self) -> np.ndarray:
         """(P, 3) array of the lattice points in enumeration order."""
-        return self._axis()[domain_table(0, self.n - 1).index]
+        return self._axis()[self.table.index]
 
 
 def index_cells(table: DomainTable, fmts: Sequence[str] = ("%d,",) * 3) -> list:
@@ -162,7 +174,7 @@ def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     Every cell of row (r, s, t) is gathered: the indices and the coordinates
     of ``GridSpec._axis``, each formatted once per column.
     """
-    table, x = domain_table(0, g.n - 1), g._axis()
+    table, x = g.table, g._axis()
     r, s, t = table.index.T
     cells = index_cells(table) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
     write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)))

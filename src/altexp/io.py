@@ -28,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .domain import DomainTable, GridSpec, domain_positions, domain_table, index_cells
+from .domain import DomainTable, GridSpec, domain_positions, index_cells
 from .textrows import write_rows
 from .transform import CoefficientSet, SampleSet
 
@@ -146,8 +146,7 @@ def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
     def where(i):   # numpy skips blank lines: count them for a message only
         return f"line {[n for n, line in enumerate(_lines(body), 2) if line.strip()][i]}"
 
-    return SampleSet(grid, _place(domain_table(0, grid.n - 1), cols, values, where,
-                                  f"N={grid.n} lattice"))
+    return SampleSet(grid, _place(grid.table, cols, values, where, f"N={grid.n} lattice"))
 
 
 _COEFF_KEYS = ('  {\n   "k": %d,\n', '   "l": %d,\n', '   "m": %d,\n')
@@ -158,7 +157,8 @@ def write_coefficients_json(c: CoefficientSet, fh: TextIO) -> None:
                        "T": c.grid.period, "role": c.role}, indent=1, allow_nan=False)
     # the layout of json.dump(..., indent=1) with the coefficient list last
     write_rows(fh, head[:-2] + ',\n "coeffs": [\n', index_cells(c.table, _COEFF_KEYS),
-               '   "re": %r,\n   "im": %r\n  }', _pairs(c.values), sep=",\n", tail="\n ]\n}\n")
+               '   "re": %r,\n   "im": %r\n  }', _pairs(c.values), sep=",\n")
+    fh.write("\n ]\n}\n")
 
 
 def _is_int(v) -> bool:

@@ -4,7 +4,8 @@ Each function here computes by the defining formula what a fast path in
 ``transform`` or ``interpolation`` computes by separable contractions or
 table lookups: the naive forward sum, the discrete Gram matrix, the remapped
 forward-transform output and the standard interpolant on the full N^3 cube.
-Only ``verify`` and the tests use them.
+The lattice points come from the grid: its unit-period axis gathered by its
+table's triples.  Only ``verify`` and the tests use them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import GridSpec, domain_table, rotations
+from .domain import GridSpec, rotations
 from .functions import eval_E
-from .interpolation import InterpolantAlt
-from .transform import CoefficientSet, SampleSet, _require_odd, _unit_coords, adft_forward
+from .transform import CoefficientSet, SampleSet, _require_odd
 
 
 def is_semidominant(t: Sequence) -> bool:
@@ -40,7 +40,7 @@ def adft_forward_naive(s: SampleSet, role: str = "beta") -> CoefficientSet:
     D(-M, M), the interpolation coefficients, for "c_alt".
     """
     grid = s.grid
-    pts = _unit_coords(grid, s.table.index)
+    pts = grid._unit_axis()[s.table.index]
     wf = (1.0 / s.table.weight) * s.values
     out = CoefficientSet(grid, role, np.zeros(grid.point_count, dtype=complex))
     out.values[:] = [np.sum(wf * np.conj(eval_E(t, pts))) for t in out.table.index.tolist()]
@@ -54,10 +54,9 @@ def discrete_gram(g: GridSpec) -> np.ndarray:
     Entry (i, j) = sum over grid of G_{rst}^{-1} E_i conj(E_j); equals
     diag(G_{klm} N^3) exactly for any lattice shift (a, b).
     """
-    table = domain_table(0, g.n - 1)
-    pts = _unit_coords(g, table.index)
-    basis = np.stack([eval_E(t, pts) for t in table.index.tolist()])  # key x point
-    return (basis * (1.0 / table.weight)) @ np.conj(basis.T)
+    pts = g._unit_axis()[g.table.index]
+    basis = np.stack([eval_E(t, pts) for t in g.table.index.tolist()])  # key x point
+    return (basis * (1.0 / g.table.weight)) @ np.conj(basis.T)
 
 
 def remap_index(t: Sequence, m: int) -> tuple:
@@ -85,11 +84,6 @@ def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
     src = c.table.pos[tuple((idx + n * lifted).T)]
     out.values[:] = np.exp(2j * np.pi * cycles) * c.values[src]
     return out
-
-
-def alt_interpolate_remap(s: SampleSet) -> InterpolantAlt:
-    """Interpolant via forward transform plus index remap."""
-    return InterpolantAlt(remap_beta_to_c(adft_forward(s)))
 
 
 def std_coefficient_cube(grid: GridSpec, cube) -> np.ndarray:

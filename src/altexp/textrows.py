@@ -2,13 +2,14 @@
 
 A written row is gathered cells (index and coordinate text) followed by
 its numbers.  A cell column takes its text from a table of the distinct
-values of its axis, each formatted once, which every row indexes: an N
-lattice formats N strings per axis whatever its point count.  The numbers
-go through the row template, ``BLOCK`` rows at a time in one ``%``
-operation, and a block's text is one join, so the per-row work runs in C
-and the text held at once is O(BLOCK) rows whatever the file size.  ``%d`` writes an integer as
-``int.__repr__`` and ``%r`` a float as ``float.__repr__``, the forms the
-``json`` encoder writes; ``%.17g`` is the CSV form.
+values of its axis (a range table's indices or a grid's coordinates), each
+formatted once, which every row indexes: an N lattice formats N strings per
+axis whatever its point count.  The numbers go through the row template,
+``BLOCK`` rows at a time in one ``%`` operation, and a block's text is one
+join, so the per-row work runs in C and the text held at once is O(BLOCK)
+rows whatever the file size.  ``%d`` writes an integer as ``int.__repr__``
+and ``%r`` a float as ``float.__repr__``, the forms the ``json`` encoder
+writes; ``%.17g`` is the CSV form.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class NonFiniteError(ValueError):
 
 
 def write_rows(fh: TextIO, head: str, cells: Sequence, row: str, values: np.ndarray,
-               sep: str = "", tail: str = "") -> None:
-    """Write ``head``, then every row i joined by ``sep``, then ``tail``.
+               sep: str = "") -> None:
+    """Write ``head``, then every row i joined by ``sep``.
 
     Row i is the text of its cells followed by ``row % tuple(values[i])``.
     ``cells`` is a sequence of columns ``(axis, at, fmt)``: the cell of row i
@@ -58,4 +59,3 @@ def write_rows(fh: TextIO, head: str, cells: Sequence, row: str, values: np.ndar
         block[:, k] = ((row + sep + "\0") * len(block) % numbers).split("\0")[:-1]
         text = "".join(block.ravel().tolist())
         fh.write(text if start + BLOCK < n else text[:len(text) - len(sep)])
-    fh.write(tail)

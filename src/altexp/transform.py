@@ -9,7 +9,8 @@ with G the orbit-size weight (3 on the diagonal, 1 otherwise).  The
 inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
 A ``CoefficientSet``'s role alone picks its index range, whose table holds
-the frequencies (``axis``), as a sample set's holds the lattice indices.
+the frequencies (``axis``); a sample set takes its table and the unit-period
+coordinates of the phases from its grid (``table``, ``_unit_axis``).
 One forward (``_forward``) fills either range by separable contractions.
 Every expansion of coefficients into values (the inverse, the interpolant)
 contracts the set's dense cube of plain exponentials (``_expand_tensor`` on
@@ -56,7 +57,7 @@ class SampleSet:
 
     @property
     def table(self) -> DomainTable:
-        return domain_table(0, self.grid.n - 1)
+        return self.grid.table
 
     def as_array(self) -> np.ndarray:
         return self.values
@@ -103,19 +104,12 @@ class CoefficientSet:
 
     @property
     def table(self) -> DomainTable:
-        n, m = self.grid.n, self.m
-        return domain_table(0, n - 1) if self.role == "beta" else domain_table(-m, m)
+        return self.grid.table if self.role == "beta" else domain_table(-self.m, self.m)
 
     def _dense_cube(self) -> np.ndarray:
         """Plain-exponential coefficients on the index cube: each cell takes
         G times the value of its semidominant rotation, ``table.pos``."""
         return (self.table.weight * self.values)[self.table.pos]
-
-
-def _unit_coords(grid: GridSpec, idx) -> np.ndarray:
-    # Transforms work in unit-period pullback coordinates p / T, where
-    # orthogonality on the lattice holds for any T.
-    return (grid.a / grid.period) + (idx + grid.b) / grid.n
 
 
 def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
@@ -140,7 +134,7 @@ def _forward(s: SampleSet, role: str) -> CoefficientSet:
     out = CoefficientSet(s.grid, role, np.empty(s.grid.point_count, dtype=complex))
     cube = np.zeros(n ** 3, dtype=complex)                    # zeros off the domain
     cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
-    phase = _phase_table(out.table.axis, _unit_coords(s.grid, s.table.axis))
+    phase = _phase_table(out.table.axis, s.grid._unit_axis())
     terms = _separable(cube.reshape(n, n, n), phase, phase, phase).ravel()[out.table.rot]
     out.values[:] = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.table.weight * n ** 3)
     return out
@@ -177,5 +171,5 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    u = _unit_coords(c.grid, c.table.axis)
-    return SampleSet.from_array(c.grid, _expand_tensor(c, u, u, u).ravel()[c.table.rot[:, 0]])
+    u = c.grid._unit_axis()
+    return SampleSet(c.grid, _expand_tensor(c, u, u, u).ravel()[c.table.rot[:, 0]])

@@ -16,7 +16,7 @@ import numpy as np
 from mpmath import mp
 
 from . import c3
-from .domain import GridSpec, domain_table, rotations
+from .domain import GridSpec, rotations
 from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase)
 from .interpolation import alt_interpolate_direct
@@ -157,10 +157,10 @@ def check_discrete_orthogonality(rng) -> CheckResult:
     for n in range(1, 9):
         pairs = [(0.0, 0.0)] + [(rng.uniform(-1, 1), rng.uniform(0, 1))
                                 for _ in range(4)]
-        target = np.diag(domain_table(0, n - 1).weight.astype(float))
         for a, b in pairs:
-            gram = discrete_gram(GridSpec(a, b, n)) / n ** 3
-            worst = max(worst, float(np.abs(gram - target).max()))
+            g = GridSpec(a, b, n)
+            defect = discrete_gram(g) / n ** 3 - np.diag(g.table.weight)
+            worst = max(worst, float(np.abs(defect).max()))
     return CheckResult("discrete_orthogonality", worst, 1e-9)
 
 
@@ -206,8 +206,7 @@ def check_ew_expanded(rng) -> CheckResult:
 def _random_samples(rng, n: int) -> SampleSet:
     """Gaussian complex samples on a randomly shifted lattice of density n."""
     g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
-    return SampleSet.from_array(g, rng.normal(size=g.point_count)
-                                + 1j * rng.normal(size=g.point_count))
+    return SampleSet(g, rng.normal(size=g.point_count) + 1j * rng.normal(size=g.point_count))
 
 
 def check_forward_vs_naive(rng) -> CheckResult:
@@ -236,7 +235,7 @@ def check_std_extension(rng) -> CheckResult:
     g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n, rng.uniform(0.3, 3))
     r = rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3)
     f = r + r.transpose(2, 0, 1) + r.transpose(1, 2, 0)
-    s = SampleSet(g, f[tuple(domain_table(0, n - 1).index.T)])
+    s = SampleSet(g, f[tuple(g.table.index.T)])
     std = std_coefficient_cube(g, f)
     gap = np.abs(alt_interpolate_direct(s).coeffs._dense_cube() - std).max()
     return CheckResult("std_extension", float(gap / np.abs(std).max()), 1e-12)

@@ -11,8 +11,8 @@ from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
 from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor)
-from altexp.oracles import (adft_forward_naive, alt_interpolate_remap,
-                            remap_beta_to_c, remap_index, std_coefficient_cube)
+from altexp.oracles import (adft_forward_naive, remap_beta_to_c, remap_index,
+                            std_coefficient_cube)
 from altexp.transform import CoefficientSet, ParityError, SampleSet, _forward, adft_forward
 from altexp.verify import check_std_extension
 
@@ -113,7 +113,7 @@ def test_remap_equals_direct(n):
     g = GridSpec(0.13, 0.81, n)
     s = random_samples(g, seed=40 + n)
     direct = alt_interpolate_direct(s).coeffs
-    remapped = alt_interpolate_remap(s).coeffs
+    remapped = remap_beta_to_c(adft_forward(s))
     for d, r in zip(direct.values, remapped.values, strict=True):
         assert abs(d - r) < 1e-12
     naive = adft_forward_naive(s, role="c_alt")
@@ -174,6 +174,13 @@ def test_remap_even_n_rejected():
         beta = adft_forward(random_samples(GridSpec(0, 0, n)))
         with pytest.raises(ParityError, match=f"N={n}"):
             remap_beta_to_c(beta)
+
+
+def test_remap_refuses_c_alt():
+    # the remap reads forward-transform output; a c_alt set is already remapped
+    c_alt = alt_interpolate_direct(random_samples(GridSpec(0.31, 0.37, 5)))
+    with pytest.raises(ValueError, match="remap needs role 'beta', got 'c_alt'"):
+        remap_beta_to_c(c_alt.coeffs)
 
 
 def test_eval_psi_zero_and_delta():

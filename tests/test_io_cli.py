@@ -17,7 +17,7 @@ from altexp.interpolation import InterpolantAlt, alt_interpolate_direct, eval_ps
 from altexp.io import (FormatError, MissingKeyError, read_coefficients_json,
                        read_samples_csv, write_coefficients_json,
                        write_samples_csv)
-from altexp.oracles import adft_forward_naive, alt_interpolate_remap
+from altexp.oracles import adft_forward_naive, remap_beta_to_c
 from altexp.quadrature import interpolation_error
 from altexp.transform import SampleSet, adft_forward
 
@@ -65,7 +65,7 @@ def test_coefficients_json_round_trip():
 BUILDERS = {
     "beta": [adft_forward, adft_forward_naive],
     "c_alt": [lambda s: alt_interpolate_direct(s).coeffs,
-              lambda s: alt_interpolate_remap(s).coeffs],
+              lambda s: remap_beta_to_c(adft_forward(s))],
 }
 
 

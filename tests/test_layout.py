@@ -14,12 +14,18 @@ from pathlib import Path
 import pytest
 
 import altexp
+from altexp import domain, transform
 from altexp.verify import ALL_CHECKS, run_suite
 
 SRC = Path(altexp.__file__).parent
 TESTS = Path(__file__).parent
 ORACLES = {"adft_forward_naive", "discrete_gram", "remap_index", "remap_beta_to_c",
-           "alt_interpolate_remap", "canonicalize", "is_semidominant", "std_coefficient_cube"}
+           "canonicalize", "is_semidominant", "std_coefficient_cube"}
+# the range pickers the interpolation must leave to the coefficient set
+RANGE_PICKERS = {"altexp.transform._require_odd", "altexp.domain.domain_table"}
+# the tables and steps of the alternating path, which the std oracle must not use
+ALTERNATING_STEPS = {"_unit_axis", "_phase_table", "_separable", "_forward", "domain_table",
+                     "table", "axis", "rot", "pos", "weight", "_dense_cube"}
 
 
 def parse(name):
@@ -79,8 +85,7 @@ def function(tree, name):
 def test_only_the_coefficient_set_picks_the_index_range():
     interp = parse("interpolation.py")
     assert "domain_table" not in called(interp)
-    assert not {"altexp.transform._dense_cube", "altexp.transform._rotation_sums",
-                "altexp.transform._separable_spectrum"} & imported(interp)
+    assert not RANGE_PICKERS & imported(interp)
     for module, name in (("oracles.py", "remap_beta_to_c"), ("io.py", "read_coefficients_json")):
         assert not {"domain_table", "_require_odd"} & called(function(parse(module), name))
 
@@ -89,8 +94,18 @@ def test_the_std_oracle_shares_no_step_with_the_alternating_path():
     body = function(parse("oracles.py"), "std_coefficient_cube")
     used = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     used |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    assert not used & {"_unit_coords", "_phase_table", "_separable", "_forward", "domain_table",
-                       "table", "rot", "pos", "weight", "_dense_cube", "_freqs"}
+    assert not used & ALTERNATING_STEPS
+
+
+def test_the_layout_checks_name_what_exists():
+    # a renamed step would otherwise leave a check above that can never fail
+    owners = (transform, domain, domain.DomainTable, transform.CoefficientSet, domain.GridSpec)
+
+    def exists(name):   # a dotted name must be found in its own module
+        module, _, attr = name.rpartition(".")
+        return any(hasattr(o, attr) for o in ([sys.modules[module]] if module else owners))
+
+    assert [n for n in sorted(RANGE_PICKERS | ALTERNATING_STEPS) if not exists(n)] == []
 
 
 def test_every_check_takes_only_rng():
