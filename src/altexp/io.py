@@ -1,28 +1,20 @@
 """File formats: sample CSV and coefficient JSON (the grid CSV is in ``domain``).
 
-Sample CSV carries the header ``r,s,t,re,im`` with one row per lattice
-index triple.  Coefficient JSON is a single object with the grid
-parameters, the role of the coefficients and the coefficient list in
-enumeration order.  CSV floats are written with 17 significant digits and
-JSON floats in the shortest form that reads back to the same double
-(``float.__repr__``), so outputs are byte-reproducible and round-trip
-exactly.  The writers stream rows in blocks (``textrows``) and refuse
-non-finite values before writing anything.  The sample reader hands its
-body to numpy's C parser (``np.loadtxt`` with one int64 or float64 field
-per column; it rounds a float as ``float()`` does), a chunk of lines at a
-time.  A body numpy refuses, one with a character numpy reads unlike
-``int()`` and ``float()``, or one with a value that is not finite is
-parsed line by line with those two, which name the first bad line.  The
-JSON reader converts each entry field as one column and names the first
-bad entry.  Both hand their k, l and m columns and the table of their
-index range to one key check (``_place``), which counts the rows at each
-enumeration position; the writers take their index cells from that table.
+The writers stream rows in blocks (``textrows``) with floats that read
+back exactly (17 significant digits in CSV, ``float.__repr__`` in JSON),
+and refuse a non-finite value before writing anything.  numpy's C parser
+is the only reader of a sample body, under the grammar the README states;
+``int()`` and ``float()`` only name the first line outside it.  The JSON
+reader converts each entry field as one column.  Both readers hand their
+keys and the table of their index range to one key check (``_place``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 import warnings
 from typing import TextIO
 
@@ -82,6 +74,8 @@ def write_samples_csv(s: SampleSet, fh: TextIO) -> None:
 _SAMPLE_ROW = np.dtype([("r", np.int64), ("s", np.int64), ("t", np.int64),
                         ("re", float), ("im", float)])
 _CHUNK = 1 << 16    # characters of a sample body split into lines at a time
+# a character outside the grammar: printable ASCII but '_', tab, \v and \f
+_OFF_GRAMMAR = re.compile(r"[^\t\x0b\x0c -^`-~]")
 
 
 def _lines(text: str):
@@ -94,59 +88,65 @@ def _lines(text: str):
         start = end + 1
 
 
-def _parse_sample_lines(lines) -> tuple:
-    """The r, s and t columns and the values of a sample body, parsed line
-    by line with ``int`` and ``float``; ``lines`` starts at line 2 and its
-    blank lines are skipped.  Raise the FormatError of the first bad line."""
-    cols, values = ([], [], []), []
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            key = [int(p) for p in parts[:3]]
-            re, im = float(parts[3]), float(parts[4])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise FormatError(f"line {lineno}: sample value {parts[3]},{parts[4]} is not finite")
-        for col, k in zip(cols, key):
-            col.append(k)
-        values.append(complex(re, im))
-    return cols, np.array(values, dtype=complex)
+def _line_fault(line: str, what: str):
+    """Why a sample line is outside the grammar, or None (int/float refusals first)."""
+    off = _OFF_GRAMMAR.search(line.removesuffix("\r"))
+    off = off and f"{off.group()!r} is outside the sample CSV grammar"
+    parts = line.strip().split(",")
+    if len(parts) != 5:     # a line of blanks has one empty field
+        return off if parts == [""] else f"expected 5 fields, got {len(parts)}"
+    try:
+        key = int(parts[0]), int(parts[1]), int(parts[2])
+        x, y = float(parts[3]), float(parts[4])
+    except ValueError as exc:
+        return str(exc)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return off or f"sample value {parts[3]},{parts[4]} is not finite"
+    if not -2 ** 63 <= min(key) <= max(key) < 2 ** 63:     # past numpy's int64
+        return off or f"{key} is not a triple of the {what}"
+    return off
+
+
+def _read_rows(text: str) -> tuple:
+    """Key columns and values numpy reads from a sample body, all finite, or a ValueError."""
+    # numpy reads \x1c-\x1f as blanks and some non-ASCII letters as digits
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("a character numpy reads unlike Python")
+    with warnings.catch_warnings():     # numpy warns of a body with no rows
+        warnings.simplefilter("ignore")
+        rows = np.loadtxt(_lines(text), _SAMPLE_ROW, delimiter=",", comments=None, ndmin=1)
+    values = np.empty(len(rows), dtype=complex)
+    values.real, values.imag = rows["re"], rows["im"]
+    if not np.isfinite(values).all():
+        raise ValueError("a sample value is not finite")
+    return [rows[c] for c in "rst"], values
 
 
 def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
     header = fh.readline().strip()
     if header != "r,s,t,re,im":
         raise FormatError(f"line 1: expected header 'r,s,t,re,im', got {header!r}")
-    body = fh.read()
-    # numpy's C parser reads the body; it takes as whitespace the \x1c-\x1f
-    # that int() and float() refuse, and reads some non-ASCII letters as
-    # digits, so a body with those, a line it refuses or a value that is not
-    # finite goes through the line-by-line parse, which names the bad line
+    body, what = fh.read(), f"N={grid.n} lattice"
     try:
-        if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("a character numpy reads unlike Python")
-        with warnings.catch_warnings():     # numpy warns of a body with no rows
-            warnings.simplefilter("ignore")
-            rows = np.loadtxt(_lines(body), _SAMPLE_ROW, delimiter=",", comments=None,
-                              ndmin=1)
-        cols = [rows[c] for c in "rst"]
-        values = np.empty(len(rows), dtype=complex)
-        values.real, values.imag = rows["re"], rows["im"]
-        if not np.isfinite(values).all():
-            raise ValueError("a sample value is not finite")
+        cols, values = _read_rows(body)
     except ValueError:
-        cols, values = _parse_sample_lines(_lines(body))
+        # numpy re-reads 4096 lines at a time less lines of blanks; a refused block is walked
+        lines, texts, lineno = _lines(body), [], 2
+        while chunk := list(itertools.islice(lines, 4096)):
+            texts.append("\n".join(t for t in chunk if t.removesuffix("\r").strip(" \t\v\f")))
+            try:
+                _read_rows(texts[-1])
+            except ValueError:
+                for n, line in enumerate(chunk, lineno):
+                    if fault := _line_fault(line, what):
+                        raise FormatError(f"line {n}: {fault}") from None
+            lineno += len(chunk)
+        cols, values = _read_rows("\n".join(texts))
 
     def where(i):   # numpy skips blank lines: count them for a message only
         return f"line {[n for n, line in enumerate(_lines(body), 2) if line.strip()][i]}"
 
-    return SampleSet(grid, _place(grid.table, cols, values, where, f"N={grid.n} lattice"))
+    return SampleSet(grid, _place(grid.table, cols, values, where, what))
 
 
 _COEFF_KEYS = ('  {\n   "k": %d,\n', '   "l": %d,\n', '   "m": %d,\n')

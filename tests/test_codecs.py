@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,27 +99,55 @@ def old_place(table, keys, values, where, what):
     return out
 
 
+# The sample CSV grammar: each line blank, or three integer and two float
+# fields padded with ASCII blanks (the spellings numpy's parser and int()
+# and float() all read), and a '\r' only before the newline.
+BLANK = r"[ \t\x0b\x0c]*"
+KEY = rf"{BLANK}[+-]?[0-9]+{BLANK}"
+FLOAT = (rf"{BLANK}[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+         rf"|(?i:inf|infinity|nan)){BLANK}")
+SAMPLE_LINE = re.compile(rf"(?:(?:{KEY},){{3}}{FLOAT},{FLOAT}|{BLANK})\r?\n?")
+
+
+def grammar_error(lineno, line):
+    """The refusal of a line that int() and float() read but the grammar does
+    not: it names the first character outside ASCII, a '_', one of
+    '\\x1c'-'\\x1f' or a '\\r' before the newline."""
+    off = re.search(r"[^\x00-\x7f]|[_\x1c-\x1f]|\r(?!\n?\Z)", line)
+    assert off, f"line {lineno} is outside the grammar with no character to name: {line!r}"
+    return FormatError(f"line {lineno}: {off.group()!r} is outside the sample CSV grammar")
+
+
 def old_read_samples_csv(grid, fh):
+    """The per-line reader with the grammar check; a key past int64 gets the
+    key check's message at its own line."""
     header = fh.readline().strip()
     if header != "r,s,t,re,im":
         raise FormatError(f"line 1: expected header 'r,s,t,re,im', got {header!r}")
     keys, values, where = [], [], []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.strip()
         if not line:
+            if not SAMPLE_LINE.fullmatch(raw):
+                raise grammar_error(lineno, raw)
             continue
         parts = line.split(",")
         if len(parts) != 5:
             raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             r, s_, t = int(parts[0]), int(parts[1]), int(parts[2])
-            re, im = float(parts[3]), float(parts[4])
+            re_, im = float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not SAMPLE_LINE.fullmatch(raw):
+            raise grammar_error(lineno, raw)
+        if not (math.isfinite(re_) and math.isfinite(im)):
             raise FormatError(f"line {lineno}: sample value {parts[3]},{parts[4]} is not finite")
+        if not all(-2 ** 63 <= k < 2 ** 63 for k in (r, s_, t)):
+            raise FormatError(f"line {lineno}: {(r, s_, t)} is not a triple of the "
+                              f"N={grid.n} lattice")
         keys.append((r, s_, t))
-        values.append(complex(re, im))
+        values.append(complex(re_, im))
         where.append(f"line {lineno}")
     return SampleSet(grid, old_place(domain_table(0, grid.n - 1), keys, values, where,
                                      f"N={grid.n} lattice"))
@@ -355,7 +384,9 @@ def sample_text(n=3):
 
 KEY_TEXT = ["1.0", "1_0", " 2", "+1", "x", "", "99", "-1", "true", "٣", "9" * 30]
 VALUE_TEXT = ["nan", "inf", "-inf", "1e999", "-0.0", "1_0.5", " 2.5 ", "0x1p3", "",
-              "true", "5e-324"]
+              "true", "5e-324", "1e1_0"]
+# blanks numpy's parser reads (the first four) or that are outside the grammar
+BLANKS = [" ", "\t", "  ", "\x0b", "\u2003", "\x1c"]
 
 
 @st.composite
@@ -371,7 +402,7 @@ def sample_mutations(draw):
             del parts[draw(st.integers(0, len(parts) - 1))]
             lines[i] = ",".join(parts)
         elif kind == "blank":
-            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "\r"])))
+            lines.insert(i, draw(st.sampled_from(["", "\r"] + BLANKS)))
         elif kind == "value" and len(parts) == 5:
             parts[draw(st.integers(3, 4))] = draw(st.sampled_from(VALUE_TEXT))
             lines[i] = ",".join(parts)
@@ -384,7 +415,7 @@ def sample_mutations(draw):
             del lines[i]
         elif kind == "space" and parts:
             j = draw(st.integers(0, len(parts) - 1))
-            parts[j] = draw(st.sampled_from([" ", "\t", "  "])) + parts[j] + " "
+            parts[j] = draw(st.sampled_from(BLANKS)) + parts[j] + " "
             lines[i] = ",".join(parts)
         elif kind == "cr":
             lines[i] += "\r"
@@ -438,24 +469,72 @@ def test_sample_reader_keeps_the_bits_of_float(parts, fmt):
     assert np.array_equal(back.values.imag.view(np.uint64), want[4:].view(np.uint64))
 
 
+def walk_calls(monkeypatch):
+    """A list that gains an entry each time a line reaches the line walk."""
+    calls = []
+
+    def fault(line, what):
+        calls.append(line)
+        return real(line, what)
+
+    real = altio._line_fault
+    monkeypatch.setattr(altio, "_line_fault", fault)
+    return calls
+
+
 def test_sample_reader_paths_give_the_same_bits(monkeypatch):
     g, text = sample_text(20)            # more than one 64K-character chunk of lines
-    parsed = []
-
-    def parse(lines):
-        parsed.append(True)
-        return real(lines)
-
-    real = altio._parse_sample_lines
-    monkeypatch.setattr(altio, "_parse_sample_lines", parse)
+    walked = walk_calls(monkeypatch)
     plain = read_samples_csv(g, io.StringIO(text))
-    assert not parsed                    # numpy's parser read it
     assert_same_outcome(read_samples_csv(g, io.StringIO(text.replace("\n", "\r\n"))), plain)
-    # a non-ASCII space, which int() and float() strip, goes line by line
-    assert_same_outcome(read_samples_csv(g, io.StringIO(text.replace("\n", "\u2003\n"))),
-                        plain)
-    assert parsed
+    assert not walked                    # numpy's parser read both
+    # a non-ASCII space, which int() and float() strip, is outside the grammar
+    assert outcome(read_samples_csv, g, io.StringIO(text.replace("\n", "\u2003\n"))) == (
+        FormatError, "line 2: '\\u2003' is outside the sample CSV grammar")
+    assert walked
     assert_same_outcome(plain, old_read_samples_csv(g, io.StringIO(text)))
+
+
+@pytest.mark.parametrize("k", [2, 7, 12])
+@pytest.mark.parametrize("field, spelling, named", [
+    (0, "1_0", "_"), (1, "\u0663", "\u0663"), (3, "1_0.5", "_"), (4, "1e1_0", "_"),
+    (None, "\u2003", "\\u2003"),
+])
+def test_sample_reader_refuses_what_only_python_reads(monkeypatch, k, field, spelling,
+                                                       named):
+    # a spelling that int() or float() reads but numpy's parser does not, on
+    # line k of an N=3 body, is refused by name; the walk stops at that line
+    g, body = sample_text()
+    lines = body.split("\n")
+    if field is None:                    # before the newline
+        lines[k - 1] += spelling
+    else:
+        parts = lines[k - 1].split(",")
+        parts[field] = spelling
+        lines[k - 1] = ",".join(parts)
+    text = "\n".join(lines)
+    walked = walk_calls(monkeypatch)
+    got = outcome(read_samples_csv, g, io.StringIO(text))
+    assert got == (FormatError, f"line {k}: '{named}' is outside the sample CSV grammar")
+    assert len(walked) == k - 1
+    assert outcome(old_read_samples_csv, g, io.StringIO(text)) == got
+
+
+def test_sample_reader_walks_only_the_block_numpy_refuses(monkeypatch):
+    g, text = sample_text(25)            # 5225 rows: a refused body is read 4096 lines a go
+    plain = read_samples_csv(g, io.StringIO(text))
+    lines = text.split("\n")
+    lines[3:3] = [" \t"]                 # lines of blanks, which numpy refuses,
+    lines[5000:5000] = ["\x0b\r"]        # in the first block and in the second
+    walked = walk_calls(monkeypatch)
+    assert_same_outcome(read_samples_csv(g, io.StringIO("\n".join(lines))), plain)
+    assert not walked
+    lines[5100] += "\u2003"             # line 5101, in the block from line 4098
+    text = "\n".join(lines)
+    got = outcome(read_samples_csv, g, io.StringIO(text))
+    assert got == (FormatError, "line 5101: '\\u2003' is outside the sample CSV grammar")
+    assert len(walked) == 5101 - 4098 + 1
+    assert outcome(old_read_samples_csv, g, io.StringIO(text)) == got
 
 
 @pytest.mark.parametrize("text", ["r,s,t,re,im", "r,s,t,re,im\n", "r,s,t,re,im\n\n\n",

@@ -291,6 +291,21 @@ def test_cli_transform_rejects_non_finite_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda line: "1_0" + line[1:], "'_'", id="key-1_0"),  # int() reads 10
+    pytest.param(lambda line: line + "\u2003", r"'\u2003'", id="U+2003"),  # float() strips it
+])
+def test_cli_transform_refuses_text_outside_the_grammar(tmp_path, capsys, edit, named):
+    s_csv, lines = sample_lines(tmp_path)
+    lines[6] = edit(lines[6])
+    s_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "b.json"
+    assert run(["transform", "--in", s_csv, "--N", 3, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {s_csv}: line 7: {named} is outside the sample CSV grammar\n")
+    assert not out.exists()
+
+
 def test_cli_interpolate_rejects_nonpositive_res(tmp_path, capsys):
     s_csv, _ = sample_lines(tmp_path)
     out, slc = tmp_path / "i.json", tmp_path / "slice.csv"
