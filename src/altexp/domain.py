@@ -11,9 +11,9 @@ index axis n1..n2 (``domain_table``), which the key lookup and the writers'
 index cells (``index_cells``) take.  A lattice is described once, by its
 ``GridSpec``: its table of D(0, N-1) (``table``) and its N physical and
 unit-period coordinates per axis (``_axis``, ``_unit_axis``), which points,
-writers, transforms and oracles gather by index.  The lattice writers gather
-the text of each index and coordinate from per-axis tables: each value is
-formatted once.
+writers and oracles gather by index; the transforms take exact phases from
+a, b and T.  The lattice writers gather the text of each index and
+coordinate from per-axis tables: each value is formatted once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -41,17 +42,17 @@ class DomainTable(NamedTuple):
     """Read-only arrays describing D(n1, n2) in enumeration order.
 
     ``index`` is the (P, 3) array of semidominant triples, ``weight`` the
-    orbit weights G, and ``rot`` the (P, 3) flat positions, in the cube with
-    ``axis`` (int64 n1..n2) along each side, of the three label rotations
-    (k, l, m), (m, k, l), (l, m, k) whose plain exponentials sum to E.
-    ``rot[:, 0]`` is strictly increasing.  ``pos``, the inverse of ``rot``,
-    is that cube of int32: each cell holds the enumeration position of its
-    semidominant rotation (every cell is covered: 3P - 2 * side = side^3).
+    orbit weights G, and ``flat`` their strictly increasing flat positions in
+    the cube with ``axis`` (int64 n1..n2) along each side.  ``pos`` is that
+    cube of int32, the one map from triples to cells: each cell holds the
+    enumeration position of its semidominant rotation (every cell is covered,
+    3P - 2 * side = side^3), so the rotations (k, l, m), (m, k, l), (l, m, k),
+    whose plain exponentials sum to E, share an entry.
     """
 
     index: np.ndarray
     weight: np.ndarray
-    rot: np.ndarray
+    flat: np.ndarray
     pos: np.ndarray
     axis: np.ndarray
 
@@ -71,15 +72,11 @@ def domain_table(n1: int, n2: int) -> DomainTable:
     keep = ((k >= l) & (l >= m)) | ((l > k) & (k > m))
     k, l, m = k[keep], l[keep], m[keep]
 
-    def flat(i, j, q):
-        return (i * side + j) * side + q
-
-    rot = np.stack([flat(k, l, m), flat(m, k, l), flat(l, m, k)], axis=1)
     pos = np.empty((side,) * 3, dtype=np.int32)
-    pos.reshape(-1)[rot] = np.arange(len(rot), dtype=np.int32)[:, None]
-    table = DomainTable(np.stack([k, l, m], axis=1) + n1,
-                        np.where((k == l) & (l == m), 3, 1), rot, pos,
-                        np.arange(n1, n1 + side, dtype=np.int64))
+    for i, j, q in rotations((k, l, m)):
+        pos[i, j, q] = np.arange(len(k), dtype=np.int32)
+    table = DomainTable(np.stack([k, l, m], axis=1) + n1, np.where((k == l) & (l == m), 3, 1),
+                        (k * side + l) * side + m, pos, np.arange(n1, n1 + side, dtype=np.int64))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -91,9 +88,9 @@ def domain_positions(table: DomainTable, triples) -> np.ndarray:
     # entries outside the range match nothing, and clipping keeps them outside
     t = np.clip(table.offsets(np.asarray(triples).reshape(-1, 3)), -1, side).astype(np.int64)
     inside = np.all((t >= 0) & (t < side), axis=1)
-    flat = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
-    pos = table.pos.ravel()[flat]
-    return np.where(inside & (table.rot[pos, 0] == flat), pos, -1)
+    cell = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
+    pos = table.pos.ravel()[cell]
+    return np.where(inside & (table.flat[pos] == cell), pos, -1)
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,10 @@ class GridSpec:
         return self.a + (np.arange(self.n) + self.b) * (self.period / self.n)
 
     def _unit_axis(self) -> np.ndarray:
-        """The N unit-period coordinates a/T + (r + b)/N, r = 0..N-1."""
-        return (self.a / self.period) + (np.arange(self.n) + self.b) / self.n
+        """The N unit-period coordinates a/T + (r + b)/N, r = 0..N-1, reduced mod 1
+        exactly: the oracles' E functions have integer labels, and period 1."""
+        x = Fraction(self.a) / Fraction(self.period) + Fraction(self.b) / self.n
+        return np.array([float((x + Fraction(r, self.n)) % 1) for r in range(self.n)])
 
     def points(self) -> np.ndarray:
         """(P, 3) array of the lattice points in enumeration order."""

@@ -123,7 +123,8 @@ def _read_rows(text: str) -> tuple:
 
 
 def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
-    header = fh.readline().strip()
+    # the body's line rules: one '\r' before the newline and ASCII blank padding
+    header = fh.readline().removesuffix("\n").removesuffix("\r").strip(" \t\v\f")
     if header != "r,s,t,re,im":
         raise FormatError(f"line 1: expected header 'r,s,t,re,im', got {header!r}")
     body, what = fh.read(), f"N={grid.n} lattice"

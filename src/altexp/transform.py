@@ -9,12 +9,12 @@ with G the orbit-size weight (3 on the diagonal, 1 otherwise).  The
 inverse is the plain expansion f = sum beta_{klm} E_{(k,l,m)}.
 
 A ``CoefficientSet``'s role alone picks its index range, whose table holds
-the frequencies (``axis``); a sample set takes its table and the unit-period
-coordinates of the phases from its grid (``table``, ``_unit_axis``).
-One forward (``_forward``) fills either range by separable contractions.
-Every expansion of coefficients into values (the inverse, the interpolant)
-contracts the set's dense cube of plain exponentials (``_expand_tensor`` on
-tensor grids, ``_expand_points`` at scattered points).
+the frequencies (``axis``).  The forward (either range) and the inverse
+mirror each other: each gathers a cube through the table's cell map ``pos``
+(samples ``values[pos]``, or the dense cube ``(weight * values)[pos]``),
+contracts it with the exact lattice table (``_lattice_table``) and reads the
+range at ``flat``.  ``_expand_tensor`` and ``_expand_points`` contract the
+dense cube with the phases of any points, for the interpolant.
 """
 
 from __future__ import annotations
@@ -117,6 +117,17 @@ def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.outer(freqs, coords))
 
 
+def _lattice_table(freqs, grid: GridSpec, sign: int = -1) -> np.ndarray:
+    """Table[k, r] = e^{sign 2 pi i k x_r} at the unit-period lattice coordinates
+    x_r = s + r/N, s = a/T + b/N = p/q: k p mod q and k r mod N are reduced in
+    integers, so each phase is exact to rounding at any shift."""
+    (an, ad), (tn, td), (bn, bd) = (v.as_integer_ratio() for v in (grid.a, grid.period, grid.b))
+    n = grid.n
+    p, q = an * td * bd * n + bn * ad * tn, ad * tn * bd * n
+    shift = np.array([int(k) * p % q / q for k in freqs])
+    return np.exp(sign * 2j * np.pi * (shift[:, None] + np.outer(freqs, np.arange(n)) % n / n))
+
+
 def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
     """out[a, b, c] = sum_{ijk} tx[a, i] ty[b, j] tz[c, k] cube[i, j, k], axis by
     axis: O(A I J K) per axis instead of O(ABC IJK) for the direct sum."""
@@ -127,16 +138,13 @@ def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
 
 
 def _forward(s: SampleSet, role: str) -> CoefficientSet:
-    """The weighted sums over the index range of ``role``: the spectrum F[k,l,m] =
-    sum_{rst} G^{-1} f e^{-2 pi i (k x_r + l y_s + m z_t)} summed over each
-    triple's three label rotations, in rotation order, divided by G N^3."""
-    n = s.grid.n
+    """The weighted sums over the index range of ``role``: the spectrum of the
+    symmetrised cube, whose cell (r, s, t) holds the sample of its semidominant
+    rotation (``table.pos``), at the range's triples (``flat``), over G N^3."""
     out = CoefficientSet(s.grid, role, np.empty(s.grid.point_count, dtype=complex))
-    cube = np.zeros(n ** 3, dtype=complex)                    # zeros off the domain
-    cube[s.table.rot[:, 0]] = (1.0 / s.table.weight) * s.values
-    phase = _phase_table(out.table.axis, s.grid._unit_axis())
-    terms = _separable(cube.reshape(n, n, n), phase, phase, phase).ravel()[out.table.rot]
-    out.values[:] = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / (out.table.weight * n ** 3)
+    w = _lattice_table(out.table.axis, s.grid)
+    spectrum = _separable(s.values[s.table.pos], w, w, w).ravel()[out.table.flat]
+    out.values[:] = spectrum / (out.table.weight * s.grid.n ** 3)
     return out
 
 
@@ -171,5 +179,5 @@ def adft_inverse(c: CoefficientSet) -> SampleSet:
     """Expand beta coefficients back into samples on the originating grid."""
     if c.role != "beta":
         raise ValueError(f"inverse transform needs role 'beta', got {c.role!r}")
-    u = c.grid._unit_axis()
-    return SampleSet(c.grid, _expand_tensor(c, u, u, u).ravel()[c.table.rot[:, 0]])
+    w = _lattice_table(c.table.axis, c.grid, sign=1).T
+    return SampleSet(c.grid, _separable(c._dense_cube(), w, w, w).ravel()[c.table.flat])

@@ -203,19 +203,28 @@ def check_ew_expanded(rng) -> CheckResult:
     return CheckResult("c3_ew_expanded_form", worst, 1e-11)
 
 
-def _random_samples(rng, n: int) -> SampleSet:
-    """Gaussian complex samples on a randomly shifted lattice of density n."""
-    g = GridSpec(rng.uniform(-1, 1), rng.uniform(0, 1), n)
+def _random_samples(rng, n: int, shift=None) -> SampleSet:
+    """Gaussian complex samples on a lattice of density n, shifted by (a, b) or at random."""
+    g = GridSpec(*(shift or (rng.uniform(-1, 1), rng.uniform(0, 1))), n)
     return SampleSet(g, rng.normal(size=g.point_count) + 1j * rng.normal(size=g.point_count))
 
 
+def _forward_gap(sets) -> float:
+    """The worst gap between the forward and the naive sum over the sample sets."""
+    return max(float(np.abs(adft_forward(s).values - adft_forward_naive(s).values).max())
+               for s in sets)
+
+
 def check_forward_vs_naive(rng) -> CheckResult:
-    worst = 0.0
-    for n in (1, 2, 5, 6):
-        s = _random_samples(rng, n)
-        gap = np.abs(adft_forward(s).values - adft_forward_naive(s).values)
-        worst = max(worst, float(gap.max()))
-    return CheckResult("forward_vs_naive", worst, 1e-12)
+    sets = (_random_samples(rng, n) for n in (1, 2, 5, 6))
+    return CheckResult("forward_vs_naive", _forward_gap(sets), 1e-12)
+
+
+def check_large_shift(rng) -> CheckResult:
+    # The naive sum reduces the coordinates mod 1 exactly: 4.7e-16 to 1.3e-15 at a
+    # shift of 1e4 (seeds 0-49), where phases of rounded coordinates give 5e-12.
+    sets = (_random_samples(rng, n, (10000.31, 0.37)) for n in (4, 5))
+    return CheckResult("large_shift_forward", _forward_gap(sets), 1e-14)
 
 
 def check_remap_vs_direct(rng) -> CheckResult:
@@ -245,7 +254,7 @@ ALL_CHECKS = {
     "identities": [check_cyclic_symmetry, check_periodicity, check_diagonal_shift,
                    check_product_labels, check_product_points,
                    check_operator_eigenvalues],
-    "transform": [check_discrete_orthogonality, check_forward_vs_naive],
+    "transform": [check_discrete_orthogonality, check_forward_vs_naive, check_large_shift],
     "interpolation": [check_remap_vs_direct, check_std_extension],
     "c3": [check_symmetrization, check_tilde_we_order, check_orbit_table,
            check_ew_expanded],

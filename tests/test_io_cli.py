@@ -654,7 +654,8 @@ def test_cli_verify_transform_checks_naive_oracle(tmp_path, seed):
     rpt = tmp_path / "r.json"
     assert run(["verify", "transform", "--seed", seed, "--out", rpt]) == 0
     checks = {c["name"]: c["pass"] for c in json.loads(rpt.read_text())["checks"]}
-    assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True}
+    assert checks == {"discrete_orthogonality": True, "forward_vs_naive": True,
+                      "large_shift_forward": True}
 
 
 @pytest.mark.parametrize("seed", range(5))

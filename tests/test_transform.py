@@ -4,11 +4,13 @@ import io
 import numpy as np
 import pytest
 
+from altexp import transform
 from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
 from altexp.io import MissingKeyError, read_samples_csv, write_samples_csv
 from altexp.oracles import adft_forward_naive, discrete_gram
 from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_inverse
+from altexp.verify import check_large_shift
 
 
 def e_fn(t, p):
@@ -98,6 +100,25 @@ def test_round_trip(n):
     s = random_samples(g, seed=100 + n)
     back = adft_inverse(adft_forward(s))
     assert np.abs(back.as_array() - s.as_array()).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [7, 8, 61])
+@pytest.mark.parametrize("a", [0.31, 100.31, 10000.31])
+def test_round_trip_at_large_shifts(a, n):
+    # the lattice phases are reduced in integers, so the error does not grow
+    # with N |a|: 7.6e-16 to 1.8e-15 here, and 4.2e-15 to 4.7e-10 with float phases
+    s = random_samples(GridSpec(a, 0.37, n), seed=n)
+    back = adft_inverse(adft_forward(s)).values
+    assert np.abs(back - s.values).max() < 5e-15 * np.abs(s.values).max()
+
+
+def test_large_shift_check_fails_float_phases(monkeypatch):
+    def float_phases(freqs, grid, sign=-1):   # the phases of coordinates rounded to doubles
+        x = grid.a / grid.period + (np.arange(grid.n) + grid.b) / grid.n
+        return transform._phase_table(freqs, x, sign)
+
+    monkeypatch.setattr(transform, "_lattice_table", float_phases)
+    assert not check_large_shift(np.random.default_rng(0)).passed
 
 
 def brute_force_inverse(grid, values):
