@@ -61,9 +61,9 @@ class DomainTable(NamedTuple):
         return np.asarray(keys) - int(self.axis[0])
 
 
-# A CLI command uses at most two ranges and no caller more than three, and a
-# table is 40 MB at N=121: a cache of 16, not 4, only held memory (it doubled
-# the peak RSS of an error-table over eight N near 110, with the same output).
+# A CLI command uses at most two ranges and no caller more than three, and the
+# table of D(0, 120) is 30.7 MB: a cache of 16, not 4, only held memory (it
+# doubled the peak RSS of an error-table over eight N near 110, same output).
 @functools.lru_cache(maxsize=4)
 def domain_table(n1: int, n2: int) -> DomainTable:
     """The cached table of all semidominant triples with entries in {n1, ..., n2}."""

@@ -13,8 +13,8 @@ the frequencies (``axis``).  The forward (either range) and the inverse
 mirror each other: each gathers a cube through the table's cell map ``pos``
 (samples ``values[pos]``, or the dense cube ``(weight * values)[pos]``),
 contracts it with the exact lattice table (``_lattice_table``) and reads the
-range at ``flat``.  ``_expand_tensor`` and ``_expand_points`` contract the
-dense cube with the phases of any points, for the interpolant.
+range at ``flat``.  Only lattice points are handled here: the interpolant is
+evaluated off the lattice in ``interpolation``.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class CoefficientSet:
         return (self.table.weight * self.values)[self.table.pos]
 
 
-def _phase_table(freqs, coords, sign: int = -1) -> np.ndarray:
-    """Table[k, r] = e^{sign 2 pi i k x_r}."""
-    return np.exp(sign * 2j * np.pi * np.outer(freqs, coords))
-
-
 def _lattice_table(freqs, grid: GridSpec, sign: int = -1) -> np.ndarray:
     """Table[k, r] = e^{sign 2 pi i k x_r} at the unit-period lattice coordinates
     x_r = s + r/N, s = a/T + b/N = p/q: k p mod q and k r mod N are reduced in
@@ -146,28 +141,6 @@ def _forward(s: SampleSet, role: str) -> CoefficientSet:
     spectrum = _separable(s.values[s.table.pos], w, w, w).ravel()[out.table.flat]
     out.values[:] = spectrum / (out.table.weight * s.grid.n ** 3)
     return out
-
-
-def _expand_tensor(c: CoefficientSet, xs, ys, zs) -> np.ndarray:
-    """out[a, b, c] = sum_{klm} c_{klm} E_{(k,l,m)}(xs_a, ys_b, zs_c), unit period."""
-    tx, ty, tz = (_phase_table(c.table.axis, u, sign=1).T for u in (xs, ys, zs))
-    # Contract z first, then y, then x: another order changes the last
-    # digits of the error-table outputs.
-    return _separable(c._dense_cube().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
-
-
-def _expand_points(c: CoefficientSet, p):
-    """sum_{klm} c_{klm} E_{(k,l,m)}(p) at point(s) p, unit period.
-
-    ``p`` (a point or an (..., 3) array) is reduced mod 1, which is exact
-    for integer frequencies, as in ``eval_E``.  One k-plane of the dense cube
-    at a time keeps memory at O(points * (2M+1)).
-    """
-    p = np.mod(np.asarray(p, dtype=float), 1.0)
-    ex, ey, ez = (_phase_table(c.table.axis, u, sign=1).T for u in p.reshape(-1, 3).T)
-    acc = sum(ex[:, k] * np.einsum("qm,qm->q", ey @ plane, ez)
-              for k, plane in enumerate(c._dense_cube())).reshape(p.shape[:-1])
-    return complex(acc) if acc.ndim == 0 else acc
 
 
 def adft_forward(s: SampleSet) -> CoefficientSet:

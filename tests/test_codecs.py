@@ -774,7 +774,7 @@ PINNED = {
     "inv7.csv": "f2ae4ca3a62d6c929d1c678f40b9bc15ea01de6e35f4baf4017cafea357143ef",
     "s6.csv": "fd871fdef5d0a40acac1fbe0cf6f3ed4ade5286dca10e0edc4741da80a165908",
     "s7.csv": "dd531ad8d57bda0511d36d19e7ba7cf779d0bd4e1e8f1fafbbff35b2d10ec0ce",
-    "slice7.csv": "aaeb9dc3f95793f6800673de7fae0ae5d337c81b62413ae86fd0f2cf56cf95c3",
+    "slice7.csv": "43cb1505f4dc0b05cb02626ba9bd840f4ccc892d05bb3cbb124cbe0ef782a37b",
 }
 
 

@@ -202,13 +202,17 @@ def test_psi_inherits_cyclic_symmetry():
 
 
 def test_tensor_eval_matches_pointwise():
-    xs, ys, zs = np.linspace(0, 1, 4), np.linspace(0, 1, 3), np.linspace(0, 1, 5)
-    grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
-    for g in (GridSpec(0, 0.5, 5), GridSpec(0.31, 0.37, 3), GridSpec(-0.6, 0.83, 7)):
-        interp = alt_interpolate_direct(random_samples(g, seed=52))
-        assert np.array_equal(interp.coeffs._dense_cube(), dense_exponents_loop(interp))
-        tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
-        assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
+    # both reduce their coordinates mod 1 alike, and agree to 1e-15 here; with
+    # unreduced tensor coordinates they were 4.3e-13 apart at shift 100.31 and
+    # 3.5e-11 at 10000.31
+    for shift in (0.0, 100.31, 10000.31):
+        xs, ys, zs = (shift + np.linspace(0, 1, n) for n in (4, 3, 5))
+        grid = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
+        for a, b, n in ((0, 0.5, 5), (0.31, 0.37, 3), (-0.6, 0.83, 7)):
+            interp = alt_interpolate_direct(random_samples(GridSpec(a + shift, b, n), seed=52))
+            assert np.array_equal(interp.coeffs._dense_cube(), dense_exponents_loop(interp))
+            tensor = eval_psi_alt_tensor(interp, xs, ys, zs)
+            assert np.abs(tensor - eval_psi_alt(interp, grid)).max() < 1e-12
 
 
 @pytest.mark.parametrize("g", [GridSpec(0.31, 0.37, 5), GridSpec(-0.6, 0.83, 3, period=2.5)],

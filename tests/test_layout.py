@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import altexp
-from altexp import domain, transform
+from altexp import domain, interpolation, transform
 from altexp.verify import ALL_CHECKS, run_suite
 
 SRC = Path(altexp.__file__).parent
@@ -99,13 +99,26 @@ def test_the_std_oracle_shares_no_step_with_the_alternating_path():
 
 def test_the_layout_checks_name_what_exists():
     # a renamed step would otherwise leave a check above that can never fail
-    owners = (transform, domain, domain.DomainTable, transform.CoefficientSet, domain.GridSpec)
+    owners = (transform, interpolation, domain, domain.DomainTable, transform.CoefficientSet,
+              domain.GridSpec)
 
     def exists(name):   # a dotted name must be found in its own module
         module, _, attr = name.rpartition(".")
         return any(hasattr(o, attr) for o in ([sys.modules[module]] if module else owners))
 
     assert [n for n in sorted(RANGE_PICKERS | ALTERNATING_STEPS) if not exists(n)] == []
+
+
+def test_transform_takes_exponentials_only_in_the_lattice_table():
+    # transform holds the exact lattice phases alone; the interpolant's phases
+    # at any point are built in interpolation, never from the lattice table
+    def exps(node):     # np.exp, math.exp or a bare exp
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and getattr(c.func, "attr", getattr(c.func, "id", None)) == "exp"]
+
+    tree = parse("transform.py")
+    assert len(exps(tree)) == len(exps(function(tree, "_lattice_table"))) > 0
+    assert "_lattice_table" not in called(parse("interpolation.py"))
 
 
 def test_every_check_takes_only_rng():

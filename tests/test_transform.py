@@ -115,7 +115,7 @@ def test_round_trip_at_large_shifts(a, n):
 def test_large_shift_check_fails_float_phases(monkeypatch):
     def float_phases(freqs, grid, sign=-1):   # the phases of coordinates rounded to doubles
         x = grid.a / grid.period + (np.arange(grid.n) + grid.b) / grid.n
-        return transform._phase_table(freqs, x, sign)
+        return np.exp(sign * 2j * np.pi * np.outer(freqs, x))
 
     monkeypatch.setattr(transform, "_lattice_table", float_phases)
     assert not check_large_shift(np.random.default_rng(0)).passed
