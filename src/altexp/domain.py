@@ -11,9 +11,9 @@ index axis n1..n2 (``domain_table``), which the key lookup and the writers'
 index cells (``index_cells``) take.  A lattice is described once, by its
 ``GridSpec``: its table of D(0, N-1) (``table``) and its N physical and
 unit-period coordinates per axis (``_axis``, ``_unit_axis``), which points,
-writers and oracles gather by index; the transforms take exact phases from
-a, b and T.  The lattice writers gather the text of each index and
-coordinate from per-axis tables: each value is formatted once.
+writers and oracles gather by index; its exact shift a/T + b/N (``_shift``)
+gives the transforms exact phases.  The lattice writers gather the text of
+each index and coordinate from per-axis tables: each is formatted once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -150,11 +149,16 @@ class GridSpec:
         """The N coordinates a + (r + b) T/N, r = 0..N-1, shared by all three axes."""
         return self.a + (np.arange(self.n) + self.b) * (self.period / self.n)
 
+    def _shift(self) -> tuple:
+        """(p, q), q > 0, with p/q = a/T + b/N exactly: the lattice's unit-period shift."""
+        (a, da), (t, dt), (b, db) = (v.as_integer_ratio() for v in (self.a, self.period, self.b))
+        return a * dt * db * self.n + b * da * t, da * t * db * self.n
+
     def _unit_axis(self) -> np.ndarray:
-        """The N unit-period coordinates a/T + (r + b)/N, r = 0..N-1, reduced mod 1
-        exactly: the oracles' E functions have integer labels, and period 1."""
-        x = Fraction(self.a) / Fraction(self.period) + Fraction(self.b) / self.n
-        return np.array([float((x + Fraction(r, self.n)) % 1) for r in range(self.n)])
+        """The N unit-period coordinates p/q + r/N (``_shift``), r = 0..N-1, reduced
+        mod 1 in integers and rounded once: the oracles' E functions have period 1."""
+        (p, q), n = self._shift(), self.n
+        return np.array([(p * n + r * q) % (q * n) / (q * n) for r in range(n)])
 
     def points(self) -> np.ndarray:
         """(P, 3) array of the lattice points in enumeration order."""

@@ -71,16 +71,15 @@ def remap_index(t: Sequence, m: int) -> tuple:
 
 def remap_beta_to_c(c: CoefficientSet) -> CoefficientSet:
     """Convert forward-transform coefficients to interpolation coefficients:
-    ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube."""
+    ``remap_index`` over all of D(-M, M) at once, through the ``pos`` cube.  Lifting
+    an entry by N multiplies E on the lattice by e^{2 pi i N p/q}, p/q = a/T + b/N
+    (``GridSpec._shift``), exact at any shift with N p mod q reduced in integers."""
     if c.role != "beta":
         raise ValueError(f"remap needs role 'beta', got {c.role!r}")
     out = CoefficientSet(c.grid, "c_alt", np.empty(c.grid.point_count, dtype=complex))
-    n, idx = c.grid.n, out.table.index
+    (p, q), n, idx = c.grid._shift(), c.grid.n, out.table.index
     lifted = idx < 0
-    # Lifting an index entry by N multiplies E on the lattice by
-    # e^{2 pi i (N a + b)} per lifted slot; exact only when N a + b is an
-    # integer (e.g. the unshifted lattice), hence the correction here.
-    cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
+    cycles = (n * p % q / q) * lifted.sum(axis=1)
     src = c.table.pos[tuple((idx + n * lifted).T)]
     out.values[:] = np.exp(2j * np.pi * cycles) * c.values[src]
     return out

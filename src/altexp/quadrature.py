@@ -142,6 +142,7 @@ def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     def squared_error(k, pts):
         nonlocal psi
         if k % chunk == 0:
+            psi = None   # free the last chunk first: one chunk of up to 64 MB is alive at a time
             psi = eval_psi_alt_tensor(interp, u, u, u[k:k + chunk])
         return np.abs(np.asarray(f(pts * period)) - psi[k + 1:, k + 1:, k % chunk]) ** 2
 

@@ -114,11 +114,9 @@ class CoefficientSet:
 
 def _lattice_table(freqs, grid: GridSpec, sign: int = -1) -> np.ndarray:
     """Table[k, r] = e^{sign 2 pi i k x_r} at the unit-period lattice coordinates
-    x_r = s + r/N, s = a/T + b/N = p/q: k p mod q and k r mod N are reduced in
-    integers, so each phase is exact to rounding at any shift."""
-    (an, ad), (tn, td), (bn, bd) = (v.as_integer_ratio() for v in (grid.a, grid.period, grid.b))
-    n = grid.n
-    p, q = an * td * bd * n + bn * ad * tn, ad * tn * bd * n
+    x_r = p/q + r/N, p/q = a/T + b/N (``GridSpec._shift``): k p mod q and k r mod N
+    are reduced in integers, so each phase is exact to rounding at any shift."""
+    (p, q), n = grid._shift(), grid.n
     shift = np.array([int(k) * p % q / q for k in freqs])
     return np.exp(sign * 2j * np.pi * (shift[:, None] + np.outer(freqs, np.arange(n)) % n / n))
 

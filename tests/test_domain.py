@@ -1,5 +1,6 @@
 import io
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,27 @@ def test_grid_shift_and_period():
     g = GridSpec(0.25, 0.5, 2, period=2.0)
     p0 = tuple(g.points()[0].tolist())
     assert p0 == (0.25 + 0.5, 0.25 + 0.5, 0.25 + 0.5)
+
+
+def fraction_unit_axis(g):
+    """The unit-period axis by rational arithmetic: a/T + (r + b)/N mod 1, rounded once."""
+    x = Fraction(g.a) / Fraction(g.period) + Fraction(g.b) / g.n
+    return np.array([float((x + Fraction(r, g.n)) % 1) for r in range(g.n)])
+
+
+def test_unit_axis_matches_rational_arithmetic_bitwise():
+    # both reduce the exact shift mod 1 and round once, at shifts from 5e-324 to 1e300
+    grids = []
+    for a, period, b, n in itertools.product(
+            (0.0, 5e-324, -5e-324, 0.31, -10000.31, 1e6 + 0.31, 1e300, -1e300),
+            (1e-300, 1e-3, 1.7, 1e300), (0.0, 0.37, 0.5, 1.0), (1, 2, 7, 121)):
+        try:
+            grids.append(GridSpec(a, b, n, period))
+        except ValueError:      # a / T past the float range
+            continue
+    assert len(grids) == 480
+    for g in grids:
+        assert g._unit_axis().tobytes() == fraction_unit_axis(g).tobytes(), g
 
 
 def test_gridspec_validation():

@@ -2,11 +2,12 @@ import cmath
 import dataclasses
 import inspect
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from altexp import interpolation
+from altexp import interpolation, verify
 from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
 from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct, eval_psi_alt,
@@ -14,7 +15,7 @@ from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct, eval_p
 from altexp.oracles import (adft_forward_naive, remap_beta_to_c, remap_index,
                             std_coefficient_cube)
 from altexp.transform import CoefficientSet, ParityError, SampleSet, _forward, adft_forward
-from altexp.verify import check_std_extension
+from altexp.verify import check_remap_vs_direct, check_std_extension
 
 
 def paper_remap_table(k, l, m, big_m):
@@ -142,16 +143,45 @@ def test_remap_is_identity_on_nonnegative_region():
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_remap_matches_per_key_formula(n):
-    # the per-key remap: remap_index plus the scalar lattice phase
+    # the per-key remap: remap_index plus the lattice phase e^{2 pi i N (a/T + b/N)}
+    # per lifted entry, reduced mod 1 in rational arithmetic
     big_m = n // 2
-    g = GridSpec(0.31, 0.37, n, 1.7)
-    beta = adft_forward(random_samples(g, seed=60 + n))
     src = {t: i for i, t in enumerate(map(tuple, domain_table(0, n - 1).index.tolist()))}
-    want = [cmath.exp(2j * cmath.pi * ((n * g.a / g.period + g.b) * sum(c < 0 for c in t)))
-            * beta.values[src[remap_index(t, big_m)]]
-            for t in domain_table(-big_m, big_m).index.tolist()]
-    got = remap_beta_to_c(beta).values
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    for a in (0.31, 10000.31):
+        g = GridSpec(a, 0.37, n, 1.7)
+        beta = adft_forward(random_samples(g, seed=60 + n))
+        phase = float(n * (Fraction(g.a) / Fraction(g.period) + Fraction(g.b) / n) % 1)
+        want = [cmath.exp(2j * cmath.pi * (phase * sum(c < 0 for c in t)))
+                * beta.values[src[remap_index(t, big_m)]]
+                for t in domain_table(-big_m, big_m).index.tolist()]
+        got = remap_beta_to_c(beta).values
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def float_phase_remap(c):
+    """The remap with its phase per lifted entry, N a/T + b, taken in doubles."""
+    out = CoefficientSet(c.grid, "c_alt", np.empty(c.grid.point_count, dtype=complex))
+    n, idx = c.grid.n, out.table.index
+    lifted = idx < 0
+    cycles = (n * c.grid.a / c.grid.period + c.grid.b) * lifted.sum(axis=1)
+    src = c.table.pos[tuple((idx + n * lifted).T)]
+    out.values[:] = np.exp(2j * np.pi * cycles) * c.values[src]
+    return out
+
+
+@pytest.mark.parametrize("a", [10000.31, 1e6 + 0.31])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_remap_is_exact_at_large_shifts(n, a):
+    # 1.1e-16 to 5.8e-16 here; float_phase_remap reads 3.8e-12 to 1.2e-9
+    s = random_samples(GridSpec(a, 0.37, n), seed=n)
+    gap = alt_interpolate_direct(s).coeffs.values - remap_beta_to_c(adft_forward(s)).values
+    assert np.abs(gap).max() <= 1e-14
+
+
+def test_remap_check_fails_float_phases(monkeypatch):
+    # 1e-11 to 2.8e-11 at the check's shift of 1e4 (seeds 0-49), against its 1e-12
+    monkeypatch.setattr(verify, "remap_beta_to_c", float_phase_remap)
+    assert not check_remap_vs_direct(np.random.default_rng(0)).passed
 
 
 def test_lattice_parameters_live_on_the_grid():
@@ -300,6 +330,17 @@ def output_weight_one(s, role):
 def test_std_extension_catches_a_wrong_weight(monkeypatch, target, name, fault):
     # each fault reads 3e-2 or more at N = 61, against 1e-13 when clean
     monkeypatch.setattr(target, name, fault)
+    assert not check_std_extension(np.random.default_rng(0)).passed
+
+
+def test_std_extension_catches_a_wrong_shift(monkeypatch):
+    # the standard cube takes the float axis, not GridSpec._shift: a shift without
+    # b/N reads 1.2 to 1.9 (seeds 0-9), against 1e-13 when clean
+    def shift_without_offset(g):    # a/T alone
+        s = Fraction(g.a) / Fraction(g.period)
+        return s.numerator, s.denominator
+
+    monkeypatch.setattr(GridSpec, "_shift", shift_without_offset)
     assert not check_std_extension(np.random.default_rng(0)).passed
 
 

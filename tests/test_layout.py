@@ -1,6 +1,7 @@
 """The module layout: slow and definitional routes live in ``altexp.oracles``,
 apart from the fast paths, and only ``verify`` imports them; the coefficient
-index range is decided by ``CoefficientSet`` alone; every verification check
+index range is decided by ``CoefficientSet`` alone, and the lattice shift by
+``GridSpec._shift``; every verification check
 is ``check(rng)``, and importing the CLI loads none of the verifier; no module
 imports a name it never uses."""
 
@@ -24,8 +25,9 @@ ORACLES = {"adft_forward_naive", "discrete_gram", "remap_index", "remap_beta_to_
 # the range pickers the interpolation must leave to the coefficient set
 RANGE_PICKERS = {"altexp.transform._require_odd", "altexp.domain.domain_table"}
 # the tables and steps of the alternating path, which the std oracle must not use
-ALTERNATING_STEPS = {"_unit_axis", "_phase_table", "_lattice_table", "_separable", "_forward",
-                     "domain_table", "table", "axis", "flat", "pos", "weight", "_dense_cube"}
+ALTERNATING_STEPS = {"_shift", "_unit_axis", "_phase_table", "_lattice_table", "_separable",
+                     "_forward", "domain_table", "table", "axis", "flat", "pos", "weight",
+                     "_dense_cube"}
 
 
 def parse(name):
@@ -121,6 +123,26 @@ def test_transform_takes_exponentials_only_in_the_lattice_table():
     assert "_lattice_table" not in called(parse("interpolation.py"))
 
 
+def test_the_shift_is_computed_only_by_the_grid():
+    # a/T + b/N is made exact in GridSpec._shift alone, from the ratios of the doubles;
+    # the transforms, the unit axis and the remap oracle read it, and none takes Fractions
+    def ratio_calls(node):
+        return len([c for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and getattr(c.func, "attr", None) == "as_integer_ratio"])
+
+    grid = next(n for n in parse("domain.py").body
+                if isinstance(n, ast.ClassDef) and n.name == "GridSpec")
+    calls = {p.name: ratio_calls(parse(p.name)) for p in SRC.glob("*.py")}
+    assert {name: k for name, k in calls.items() if k} == {
+        "domain.py": ratio_calls(function(grid, "_shift"))}
+    assert calls["domain.py"] > 0
+    assert not [p.name for p in SRC.glob("*.py")
+                if {"fractions", "decimal"} & {m.split(".")[0] for m in imported(parse(p.name))}]
+    assert {"_shift"} <= called(function(parse("transform.py"), "_lattice_table"))
+    assert {"_shift"} <= called(function(parse("oracles.py"), "remap_beta_to_c"))
+    assert {"_shift"} <= called(function(grid, "_unit_axis"))
+
+
 def test_every_check_takes_only_rng():
     params = {check.__name__: list(inspect.signature(check).parameters)
               for checks in ALL_CHECKS.values() for check in checks}
@@ -128,13 +150,22 @@ def test_every_check_takes_only_rng():
     assert list(inspect.signature(run_suite).parameters) == ["suite", "seed"]
 
 
-def test_importing_the_cli_loads_none_of_the_verifier():
-    code = ("import sys, altexp.cli; print(sorted({'mpmath', 'altexp.verify', "
-            "'altexp.c3', 'altexp.oracles'} & set(sys.modules)))")
+def loaded_on_import(module: str, names: set) -> str:
+    """The sorted list of ``names`` that a fresh interpreter holds after importing ``module``."""
+    code = f"import sys, {module}; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_importing_the_cli_loads_none_of_the_verifier():
+    verifier = {"mpmath", "altexp.verify", "altexp.c3", "altexp.oracles"}
+    assert loaded_on_import("altexp.cli", verifier) == "[]\n"
+
+
+def test_importing_the_package_loads_no_rational_arithmetic():
+    assert loaded_on_import("altexp", {"fractions", "decimal"}) == "[]\n"
 
 
 def unused_imports(tree) -> list:

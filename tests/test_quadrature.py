@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,6 +327,20 @@ def test_interpolation_error_matches_reference_bitwise(N, a, b, n, f):
     got = interpolation_error(f, interp, n)
     assert type(got) is float
     assert same_bits(got, interpolation_error_reference(f, interp, n))
+
+
+def test_interpolation_error_holds_one_chunk_of_the_interpolant():
+    # n = 200 takes its z-slabs 104 at a time (63.5 MiB of psi): 1.05 chunks
+    # traced at the peak, and 1.96 when the old chunk outlived the build of the next
+    n, chunk = 200, (1 << 22) // 200 ** 2
+    interp = _bump_lattice_interpolant(3)
+    tracemalloc.start()
+    try:
+        interpolation_error(lambda pts: np.zeros(pts.shape[:-1]), interp, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * chunk * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
