@@ -40,42 +40,45 @@ def rotations(t: Sequence) -> list:
 class DomainTable(NamedTuple):
     """Read-only arrays describing D(n1, n2) in enumeration order.
 
-    ``index`` is the (P, 3) array of semidominant triples, ``weight`` the
-    orbit weights G, and ``flat`` their strictly increasing flat positions in
-    the cube with ``axis`` (int64 n1..n2) along each side.  ``pos`` is that
-    cube of int32, the one map from triples to cells: each cell holds the
-    enumeration position of its semidominant rotation (every cell is covered,
-    3P - 2 * side = side^3), so the rotations (k, l, m), (m, k, l), (l, m, k),
-    whose plain exponentials sum to E, share an entry.
+    ``weight`` holds the orbit weights G of the semidominant triples, and
+    ``flat``, the one stored copy of the triples (``index`` derives them),
+    their strictly increasing positions in the cube with ``axis`` (int64
+    n1..n2) along each side.  ``pos`` is that cube of int32, the one map from
+    triples to cells: each cell holds the enumeration position of its
+    semidominant rotation (every cell is covered, 3P - 2 * side = side^3), so
+    the rotations (k, l, m), (m, k, l), (l, m, k), whose plain exponentials
+    sum to E, share an entry.  The ranges of one side share all but ``axis``.
     """
 
-    index: np.ndarray
     weight: np.ndarray
     flat: np.ndarray
     pos: np.ndarray
     axis: np.ndarray
 
-    def offsets(self, keys) -> np.ndarray:
-        """The places along ``axis`` of the entries of ``keys`` (a non-empty range)."""
-        return np.asarray(keys) - int(self.axis[0])
+    @property
+    def index(self) -> np.ndarray:
+        """The (P, 3) array of the triples, derived from ``flat`` on each call."""
+        return self.axis[np.stack(np.unravel_index(self.flat, self.pos.shape), axis=1)]
 
 
-# A CLI command uses at most two ranges and no caller more than three, and the
-# table of D(0, 120) is 30.7 MB: a cache of 16, not 4, only held memory (it
+# A command uses at most two ranges, no caller more than three, and D(-M, M) shares
+# D(0, 2M)'s 16.5 MB table at M = 60: a cache of 16, not 4, only held memory (it
 # doubled the peak RSS of an error-table over eight N near 110, same output).
 @functools.lru_cache(maxsize=4)
 def domain_table(n1: int, n2: int) -> DomainTable:
     """The cached table of all semidominant triples with entries in {n1, ..., n2}."""
     side = max(n2 - n1 + 1, 0)
-    k, l, m = np.indices((side,) * 3).reshape(3, -1)
-    keep = ((k >= l) & (l >= m)) | ((l > k) & (k > m))
-    k, l, m = k[keep], l[keep], m[keep]
-
-    pos = np.empty((side,) * 3, dtype=np.int32)
-    for i, j, q in rotations((k, l, m)):
-        pos[i, j, q] = np.arange(len(k), dtype=np.int32)
-    table = DomainTable(np.stack([k, l, m], axis=1) + n1, np.where((k == l) & (l == m), 3, 1),
-                        (k * side + l) * side + m, pos, np.arange(n1, n1 + side, dtype=np.int64))
+    if n1:      # a triple stays semidominant when one integer is added to all entries
+        table = domain_table(0, side - 1)._replace(axis=np.arange(n1, n1 + side, dtype=np.int64))
+    else:
+        k, l, m = np.indices((side,) * 3).reshape(3, -1)
+        keep = ((k >= l) & (l >= m)) | ((l > k) & (k > m))
+        k, l, m = k[keep], l[keep], m[keep]
+        pos = np.empty((side,) * 3, dtype=np.int32)
+        for i, j, q in rotations((k, l, m)):
+            pos[i, j, q] = np.arange(len(k), dtype=np.int32)
+        table = DomainTable(np.where((k == l) & (l == m), 3, 1), (k * side + l) * side + m,
+                            pos, np.arange(side, dtype=np.int64))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -85,7 +88,7 @@ def domain_positions(table: DomainTable, triples) -> np.ndarray:
     """Enumeration positions of ``triples`` in a non-empty ``table``; -1 where absent."""
     side = len(table.axis)
     # entries outside the range match nothing, and clipping keeps them outside
-    t = np.clip(table.offsets(np.asarray(triples).reshape(-1, 3)), -1, side).astype(np.int64)
+    t = np.clip(np.reshape(triples, (-1, 3)) - int(table.axis[0]), -1, side).astype(np.int64)
     inside = np.all((t >= 0) & (t < side), axis=1)
     cell = np.where(inside, (t[:, 0] * side + t[:, 1]) * side + t[:, 2], 0)
     pos = table.pos.ravel()[cell]
@@ -168,7 +171,8 @@ class GridSpec:
 def index_cells(table: DomainTable, fmts: Sequence[str] = ("%d,",) * 3) -> list:
     """The k, l and m cell columns, formatted by ``fmts``, of the rows of
     ``table`` for ``write_rows``: each index is formatted once per column."""
-    return [(table.axis, table.offsets(table.index[:, j]), fmt) for j, fmt in enumerate(fmts)]
+    return [(table.axis, col, fmt)
+            for col, fmt in zip(np.unravel_index(table.flat, table.pos.shape), fmts)]
 
 
 def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
@@ -177,7 +181,6 @@ def write_grid_csv(g: GridSpec, fh: TextIO) -> None:
     Every cell of row (r, s, t) is gathered: the indices and the coordinates
     of ``GridSpec._axis``, each formatted once per column.
     """
-    table, x = g.table, g._axis()
-    r, s, t = table.index.T
-    cells = index_cells(table) + [(x, r, "%.17g,"), (x, s, "%.17g,"), (x, t, "%.17g")]
+    cells, x = index_cells(g.table), g._axis()
+    cells += [(x, rst, fmt) for (_, rst, _), fmt in zip(cells, ("%.17g,", "%.17g,", "%.17g"))]
     write_rows(fh, "r,s,t,x,y,z\n", cells, "\n", np.empty((g.point_count, 0)))

@@ -49,7 +49,7 @@ def _place(table: DomainTable, cols, values: np.ndarray, where, what: str) -> np
     if bad.size:
         i = bad[0]
         raise FormatError(f"{where(i)}: {key(i)} is not a triple of the {what}")
-    counts = np.bincount(pos, minlength=len(table.index))
+    counts = np.bincount(pos, minlength=len(table.flat))
     dup = np.flatnonzero(counts > 1)
     if dup.size:
         i, j = np.flatnonzero(pos == dup[0])[:2]
@@ -119,7 +119,7 @@ def _read_rows(text: str) -> tuple:
     values.real, values.imag = rows["re"], rows["im"]
     if not np.isfinite(values).all():
         raise ValueError("a sample value is not finite")
-    return [rows[c] for c in "rst"], values
+    return rows["r"], rows["s"], rows["t"], values
 
 
 def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
@@ -129,20 +129,21 @@ def read_samples_csv(grid: GridSpec, fh: TextIO) -> SampleSet:
         raise FormatError(f"line 1: expected header 'r,s,t,re,im', got {header!r}")
     body, what = fh.read(), f"N={grid.n} lattice"
     try:
-        cols, values = _read_rows(body)
+        *cols, values = _read_rows(body)
     except ValueError:
         # numpy re-reads 4096 lines at a time less lines of blanks; a refused block is walked
-        lines, texts, lineno = _lines(body), [], 2
+        lines, blocks, lineno = _lines(body), [], 2
         while chunk := list(itertools.islice(lines, 4096)):
-            texts.append("\n".join(t for t in chunk if t.removesuffix("\r").strip(" \t\v\f")))
+            text = "\n".join(t for t in chunk if t.removesuffix("\r").strip(" \t\v\f"))
             try:
-                _read_rows(texts[-1])
+                blocks.append(_read_rows(text))
             except ValueError:
                 for n, line in enumerate(chunk, lineno):
                     if fault := _line_fault(line, what):
                         raise FormatError(f"line {n}: {fault}") from None
+                raise
             lineno += len(chunk)
-        cols, values = _read_rows("\n".join(texts))
+        *cols, values = map(np.concatenate, zip(*blocks))
 
     def where(i):   # numpy skips blank lines: count them for a message only
         return f"line {[n for n, line in enumerate(_lines(body), 2) if line.strip()][i]}"

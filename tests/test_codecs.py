@@ -540,6 +540,24 @@ def test_sample_reader_walks_only_the_block_numpy_refuses(monkeypatch):
     assert outcome(old_read_samples_csv, g, io.StringIO(text)) == got
 
 
+def test_sample_reader_parses_a_valid_body_at_most_twice(monkeypatch):
+    # numpy refuses a trailing line of blanks; the blocks it then accepts are kept
+    g, text = sample_text(25)            # 5225 rows: two blocks
+    text += " \n"
+    parsed = []
+
+    def read_rows(body):
+        parsed.append(len(body))
+        return real(body)
+
+    real = altio._read_rows
+    monkeypatch.setattr(altio, "_read_rows", read_rows)
+    got = read_samples_csv(g, io.StringIO(text))
+    assert_same_outcome(got, old_read_samples_csv(g, io.StringIO(text)))
+    body = len(text) - len(text.split("\n", 1)[0]) - 1
+    assert len(parsed) == 3 and sum(parsed) <= 2.1 * body
+
+
 @pytest.mark.parametrize("header, ok", [
     ("r,s,t,re,im", True), (" \tr,s,t,re,im\x0b\x0c \r", True), ("r,s,t,re,im\r\r", False),
     (" r,s,t,re,im\x1c", False), ("r,s,t,re,im\u2003", False), ("\x1fr,s,t,re,im\r", False),

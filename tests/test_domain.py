@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -151,18 +152,45 @@ def test_grid_csv_format():
 
 
 def test_domain_table_matches_enumeration_and_is_read_only():
-    table = domain_table(-2, 2)
-    keys = list(map(tuple, table.index.tolist()))
-    assert keys == [t for t in itertools.product(range(-2, 3), repeat=3)
-                    if is_semidominant(t)]
-    assert table.weight.tolist() == [3 if k == l == m else 1 for k, l, m in keys]
-    side = 5
-    assert table.flat.tolist() == [((k + 2) * side + (l + 2)) * side + (m + 2)
-                                   for k, l, m in keys]
-    assert domain_table(-2, 2) is table
-    for arr in table:
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    for c in (2, 3):    # relabelled ranges: D(-c, c) is D(0, 2c) with a new axis
+        table, side = domain_table(-c, c), 2 * c + 1
+        keys = list(map(tuple, table.index.tolist()))
+        assert keys == [t for t in itertools.product(range(-c, c + 1), repeat=3)
+                        if is_semidominant(t)]
+        assert table.weight.tolist() == [3 if k == l == m else 1 for k, l, m in keys]
+        assert table.flat.tolist() == [((k + c) * side + (l + c)) * side + (m + c)
+                                       for k, l, m in keys]
+        assert domain_table(-c, c) is table
+        assert table._fields == ("weight", "flat", "pos", "axis")
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 60])
+def test_centred_range_relabels_the_table_from_zero(m):
+    # either range first, as a command builds them: the two share the cube arrays
+    # while both stay cached (an evicted D(0, 2m) is built anew, unshared)
+    for first in (-m, 0):
+        domain_table.cache_clear()
+        domain_table(first, first + 2 * m)
+        centred, table = domain_table(-m, m), domain_table(0, 2 * m)
+        assert all(getattr(centred, f) is getattr(table, f) for f in ("weight", "flat", "pos"))
+        assert np.array_equal(centred.index, table.index - m)
+        assert centred.axis.tolist() == list(range(-m, m + 1))
+
+
+def test_relabelling_allocates_only_the_axis():
+    domain_table.cache_clear()
+    base = domain_table(0, 40)               # 0.5 MB of cube arrays
+    tracemalloc.start()
+    try:
+        table = domain_table(-20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.axis.nbytes + 4096
+    assert table.pos is base.pos
 
 
 def test_domain_positions():
