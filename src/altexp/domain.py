@@ -6,14 +6,15 @@ semidominant, so semidominant triples are canonical representatives of
 cyclic label orbits.  The grids sampled here live inside the fundamental
 region of the unit cube cut out by x > z and y > z.
 
-An index range D(n1, n2) is described once, by its cached table with its
-index axis n1..n2 (``domain_table``), which the key lookup and the writers'
-index cells (``index_cells``) take.  A lattice is described once, by its
-``GridSpec``: its table of D(0, N-1) (``table``) and its N physical and
-unit-period coordinates per axis (``_axis``, ``_unit_axis``), which points,
-writers and oracles gather by index; its exact shift a/T + b/N (``_shift``)
-gives the transforms exact phases.  The lattice writers gather the text of
-each index and coordinate from per-axis tables: each is formatted once.
+An index range D(n1, n2) is described once, by its table with its index axis
+n1..n2 (``domain_table``: the cached table of its cube side, relabelled on each
+call), which the key lookup and the writers' index cells (``index_cells``) take.
+A lattice is described once, by its ``GridSpec``: its table of D(0, N-1)
+(``table``) and its N physical and unit-period coordinates per axis (``_axis``,
+``_unit_axis``), which points, writers and oracles gather by index; its exact
+shift a/T + b/N (``_shift``) gives the transforms exact phases.  The lattice
+writers gather the text of each index and coordinate from per-axis tables: each
+is formatted once.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ def rotations(t: Sequence) -> list:
 class DomainTable(NamedTuple):
     """Read-only arrays describing D(n1, n2) in enumeration order.
 
-    ``weight`` holds the orbit weights G of the semidominant triples, and
-    ``flat``, the one stored copy of the triples (``index`` derives them),
-    their strictly increasing positions in the cube with ``axis`` (int64
-    n1..n2) along each side.  ``pos`` is that cube of int32, the one map from
-    triples to cells: each cell holds the enumeration position of its
-    semidominant rotation (every cell is covered, 3P - 2 * side = side^3), so
-    the rotations (k, l, m), (m, k, l), (l, m, k), whose plain exponentials
-    sum to E, share an entry.  The ranges of one side share all but ``axis``.
+    ``weight`` holds the orbit weights G of the semidominant triples, and ``flat``,
+    the one stored copy of the triples (``index`` derives them), their strictly
+    increasing int64 positions (side^3 passes 2^31 from side 1291) in the cube with
+    ``axis`` (int64 n1..n2) along each side.  ``pos`` is that cube of int32, the
+    one map from triples to cells: each cell holds the enumeration position of its
+    semidominant rotation (every cell is covered, 3P - 2 * side = side^3), so the
+    rotations (k, l, m), (m, k, l), (l, m, k), whose plain exponentials sum to E,
+    share an entry.  The ranges of one side share all but ``axis``.
     """
 
     weight: np.ndarray
@@ -61,24 +62,26 @@ class DomainTable(NamedTuple):
         return self.axis[np.stack(np.unravel_index(self.flat, self.pos.shape), axis=1)]
 
 
-# A command uses at most two ranges, no caller more than three, and D(-M, M) shares
-# D(0, 2M)'s 16.5 MB table at M = 60: a cache of 16, not 4, only held memory (it
+# A command uses two cube sides at most: a cache of 16, not 4, only held memory (it
 # doubled the peak RSS of an error-table over eight N near 110, same output).
 @functools.lru_cache(maxsize=4)
+def _side_table(side: int) -> DomainTable:
+    """The table of D(0, side - 1), cached per cube side; ``domain_table`` freezes it."""
+    k, l, m = np.ogrid[:side, :side, :side]
+    flat = np.flatnonzero(((k >= l) & (l >= m)) | ((l > k) & (k > m)))
+    k, l, m = np.unravel_index(flat, (side,) * 3)
+    pos = np.empty((side,) * 3, dtype=np.int32)
+    for i, j, q in rotations((k, l, m)):
+        pos[i, j, q] = np.arange(len(k), dtype=np.int32)
+    return DomainTable(np.where((k == l) & (l == m), 3, 1), flat, pos,
+                       np.arange(side, dtype=np.int64))
+
+
 def domain_table(n1: int, n2: int) -> DomainTable:
-    """The cached table of all semidominant triples with entries in {n1, ..., n2}."""
-    side = max(n2 - n1 + 1, 0)
+    """The table of all semidominant triples with entries in {n1, ..., n2}."""
+    table = _side_table(max(n2 - n1 + 1, 0))
     if n1:      # a triple stays semidominant when one integer is added to all entries
-        table = domain_table(0, side - 1)._replace(axis=np.arange(n1, n1 + side, dtype=np.int64))
-    else:
-        k, l, m = np.indices((side,) * 3).reshape(3, -1)
-        keep = ((k >= l) & (l >= m)) | ((l > k) & (k > m))
-        k, l, m = k[keep], l[keep], m[keep]
-        pos = np.empty((side,) * 3, dtype=np.int32)
-        for i, j, q in rotations((k, l, m)):
-            pos[i, j, q] = np.arange(len(k), dtype=np.int32)
-        table = DomainTable(np.where((k == l) & (l == m), 3, 1), (k * side + l) * side + m,
-                            pos, np.arange(side, dtype=np.int64))
+        table = table._replace(axis=np.arange(n1, n1 + len(table.axis), dtype=np.int64))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -114,8 +117,8 @@ class GridSpec:
         object.__setattr__(self, "n", int(self.n))   # json writes only Python ints
         if self.n < 1:
             raise ValueError(f"grid density N must be >= 1, got {self.n}")
-        if 3 * self.n ** 3 * np.intp(0).itemsize > np.iinfo(np.intp).max:
-            # domain_table's (3, N, N, N) index cube has more bytes than numpy can size
+        if self.point_count > np.iinfo(np.int32).max:
+            # the table's pos holds the enumeration positions 0..P-1 as int32
             raise ValueError(f"grid density N={self.n} is too large to index")
         for name, what in (("a", "lattice shift a"), ("b", "fractional offset b"),
                            ("period", "period T")):

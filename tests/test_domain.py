@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from altexp.domain import (GridSpec, domain_positions, domain_table, rotations,
+from altexp.domain import (GridSpec, _side_table, domain_positions, domain_table, rotations,
                            write_grid_csv)
 from altexp.functions import eval_E
 from altexp.oracles import canonicalize, is_semidominant
@@ -134,9 +134,9 @@ def test_gridspec_validation():
 
 
 def test_gridspec_refuses_density_too_large_to_index():
-    # 3 N^3 intp entries fit numpy's size limit up to N = 727041
-    assert GridSpec(0, 0, 727041).n == 727041
-    for n in (727042, 10 ** 6, 2 ** 63 - 1):
+    # the int32 pos holds the positions 0..P-1 up to N = 1860 (P = 2,145,953,240)
+    assert GridSpec(0, 0, 1860).n == 1860
+    for n in (1861, 727042, 10 ** 6, 2 ** 63 - 1):
         with pytest.raises(ValueError, match=f"N={n} is too large to index"):
             GridSpec(0, 0, n)
 
@@ -160,7 +160,9 @@ def test_domain_table_matches_enumeration_and_is_read_only():
         assert table.weight.tolist() == [3 if k == l == m else 1 for k, l, m in keys]
         assert table.flat.tolist() == [((k + c) * side + (l + c)) * side + (m + c)
                                        for k, l, m in keys]
-        assert domain_table(-c, c) is table
+        again = domain_table(-c, c)     # relabelled, not rebuilt
+        assert all(getattr(again, f) is getattr(table, f) for f in ("weight", "flat", "pos"))
+        assert np.array_equal(again.axis, table.axis)
         assert table._fields == ("weight", "flat", "pos", "axis")
         for arr in table:
             with pytest.raises(ValueError):
@@ -169,11 +171,14 @@ def test_domain_table_matches_enumeration_and_is_read_only():
 
 @pytest.mark.parametrize("m", [0, 1, 3, 60])
 def test_centred_range_relabels_the_table_from_zero(m):
-    # either range first, as a command builds them: the two share the cube arrays
-    # while both stay cached (an evicted D(0, 2m) is built anew, unshared)
-    for first in (-m, 0):
-        domain_table.cache_clear()
-        domain_table(first, first + 2 * m)
+    # either range first, as a command builds them, or D(-m, m) kept in use while
+    # more other sides than the cache holds come and go: the two share the cube arrays
+    others = [s for s in range(6) if s != 2 * m + 1][:5]
+    cycling = [r for s in others for r in ((-m, m), (0, s - 1))]
+    for builds in ([(-m, m)], [(0, 2 * m)], cycling):
+        _side_table.cache_clear()
+        for n1, n2 in builds:
+            domain_table(n1, n2)
         centred, table = domain_table(-m, m), domain_table(0, 2 * m)
         assert all(getattr(centred, f) is getattr(table, f) for f in ("weight", "flat", "pos"))
         assert np.array_equal(centred.index, table.index - m)
@@ -181,7 +186,7 @@ def test_centred_range_relabels_the_table_from_zero(m):
 
 
 def test_relabelling_allocates_only_the_axis():
-    domain_table.cache_clear()
+    _side_table.cache_clear()
     base = domain_table(0, 40)               # 0.5 MB of cube arrays
     tracemalloc.start()
     try:
@@ -191,6 +196,19 @@ def test_relabelling_allocates_only_the_axis():
         tracemalloc.stop()
     assert peak < table.axis.nbytes + 4096
     assert table.pos is base.pos
+
+
+def test_table_build_holds_no_index_cube():
+    # the broadcast mask traces 1.9x the stored table; an index cube of
+    # 3 side^3 intp entries would trace 3.5x
+    _side_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = domain_table(0, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(a.nbytes for a in table)
 
 
 def test_domain_positions():

@@ -202,7 +202,8 @@ def test_naive_forward_labels_its_index_range():
     s = random_samples(GridSpec(0.31, 0.77, 5), seed=13)
     for role, table in (("beta", domain_table(0, 4)), ("c_alt", domain_table(-2, 2))):
         c = adft_forward_naive(s, role=role)
-        assert c.role == role and c.table is table
+        assert c.role == role and np.array_equal(c.table.axis, table.axis)
+        assert all(getattr(c.table, f) is getattr(table, f) for f in ("weight", "flat", "pos"))
     with pytest.raises(ValueError, match="odd N"):
         adft_forward_naive(random_samples(GridSpec(0, 0, 4)), role="c_alt")
 
