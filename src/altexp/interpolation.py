@@ -44,15 +44,10 @@ def alt_interpolate_direct(s: SampleSet) -> InterpolantAlt:
     return InterpolantAlt(_forward(s, "c_alt"))
 
 
-def _phase_table(freqs, coords) -> np.ndarray:
-    """Table[k, r] = e^{2 pi i k x_r}."""
-    return np.exp(2j * np.pi * np.outer(freqs, coords))
-
-
 def _phases(i: InterpolantAlt, u) -> np.ndarray:
     """[r, k] = e^{2 pi i k x_r}, x_r = u_r / T mod 1: exact for the integer k."""
     x = np.mod(np.asarray(u, dtype=float) / i.grid.period, 1.0)
-    return _phase_table(i.coeffs.table.axis, x).T
+    return np.exp(2j * np.pi * np.outer(i.coeffs.table.axis, x)).T
 
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
@@ -68,7 +63,4 @@ def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     """Evaluate on the tensor grid xs x ys x zs: shape (len(xs), len(ys), len(zs)),
     in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation."""
     tx, ty, tz = (_phases(i, u) for u in (xs, ys, zs))
-    # Contract z first: a slice's one z keeps the intermediates at (1, K, K) and (1, n, K),
-    # K = 2M+1; x first holds (n, K, K) and (n, n, K): 58.1 against 51.8 MB peak RSS, +14 %
-    # time, on perfbench's analysis slice (N = 21, n = 128).  err.csv is the same either way.
-    return _separable(i.coeffs._dense_cube().transpose(2, 1, 0), tz, ty, tx).transpose(2, 1, 0)
+    return _separable(i.coeffs._dense_cube(), tx, ty, tz)

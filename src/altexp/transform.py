@@ -12,9 +12,10 @@ A ``CoefficientSet``'s role alone picks its index range, whose table holds
 the frequencies (``axis``).  The forward (either range) and the inverse
 mirror each other: each gathers a cube through the table's cell map ``pos``
 (samples ``values[pos]``, or the dense cube ``(weight * values)[pos]``),
-contracts it with the exact lattice table (``_lattice_table``) and reads the
-range at ``flat``.  Only lattice points are handled here: the interpolant is
-evaluated off the lattice in ``interpolation``.
+contracts it with the exact lattice table (``_lattice_table``) by
+``_separable``, z then y then x, and reads the range at ``flat`` of the
+C-ordered result.  Only lattice points are handled here: the interpolant is
+evaluated off the lattice in ``interpolation``, by the same ``_separable``.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ def _lattice_table(freqs, grid: GridSpec, sign: int = -1) -> np.ndarray:
 
 def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
     """out[a, b, c] = sum_{ijk} tx[a, i] ty[b, j] tz[c, k] cube[i, j, k], axis by
-    axis: O(A I J K) per axis instead of O(ABC IJK) for the direct sum."""
-    out = np.tensordot(tx, cube, axes=([1], [0]))             # a, j, k
-    out = np.tensordot(ty, out, axes=([1], [1]))              # b, a, k
-    out = np.tensordot(tz, out, axes=([1], [2]))              # c, b, a
-    return out.transpose(2, 1, 0)
+    axis: O(A I J K) per axis instead of O(ABC IJK) for the direct sum.  z goes
+    first, so one z of a slice keeps the intermediates at (K, K, 1) and (K, n, 1)
+    for a dense cube of side K, and x last, so the result is C-ordered and the
+    transforms' ``ravel`` is a view."""
+    return np.tensordot(tx, ty @ (cube @ tz.T), axes=1)
 
 
 def _forward(s: SampleSet, role: str) -> CoefficientSet:

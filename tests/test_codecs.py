@@ -780,19 +780,19 @@ def test_slice_writer_refuses_non_finite():
 # though its two printed rows held there when these pins were set.  The grid,
 # s and e pins held under both.
 PINNED = {
-    "b6.json": "fa862c8f3749cdba039268fe685d1abde07925b2376b0e336b3693951f150ab5",
-    "b7.json": "d27678cedb65d482d36e538fa4ff8f728704a7a52cf788ed5765e1cc4c36cde9",
+    "b6.json": "00d2fbe384fd8a5bbd5c738d1703c307f1dc1edfc4a826bdd1fde74788bfa2f1",
+    "b7.json": "935192610ccc616c677380905319a5b9adc10e35028e7599871f6ae3e4bbfc1e",
     "e6.csv": "0e66db2766d9b1e6c448f75036e7572cd4ca73255abe3e9d160fc2da23f40d8e",
     "e7.csv": "9243179e6b903f9676eda5da56ccbe83391a5023ed5c4240533f15efc463296b",
     "err.csv": "aa18f97695df866f42b72e9661bc1e1eb9bd5d5d706e0a8ce36c39bdc8115a24",
     "grid6.csv": "39bef1e7fd99c72f33c5f2decdf9153b645f51e8b4f109a46650d21590fc814d",
     "grid7.csv": "873195b7bd1cfb67941d83c1c155a837b7b206a343cc51e9a41c1a6cf1246651",
-    "i7.json": "b93a7500f07c7f39892413cc2a45bef08a0bce23e9b3f7f6920db10c8369ffb7",
-    "inv6.csv": "e4268ac63473287a7c22bd31bda4a25438b50d1c9c11abb9e9a1eb2399898b81",
-    "inv7.csv": "f2ae4ca3a62d6c929d1c678f40b9bc15ea01de6e35f4baf4017cafea357143ef",
+    "i7.json": "a17a8949598a746a5a427143354fe05e61b1ebac43429b38d656433fe9e6ddbc",
+    "inv6.csv": "9dbc302f14e34725bcdedd786bd18cce26133f6487b53c4160670e9c6cf866ac",
+    "inv7.csv": "82c7935e591b7544b8aad52057712cd129bfe17ca6437cab2ba9a3c6ee85f49e",
     "s6.csv": "fd871fdef5d0a40acac1fbe0cf6f3ed4ade5286dca10e0edc4741da80a165908",
     "s7.csv": "dd531ad8d57bda0511d36d19e7ba7cf779d0bd4e1e8f1fafbbff35b2d10ec0ce",
-    "slice7.csv": "43cb1505f4dc0b05cb02626ba9bd840f4ccc892d05bb3cbb124cbe0ef782a37b",
+    "slice7.csv": "ec160bbe38e305ee63c26fbcbbd5f6eaa6f457277b7d23a42c650cdce0976d8b",
 }
 
 

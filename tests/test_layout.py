@@ -25,7 +25,7 @@ ORACLES = {"adft_forward_naive", "discrete_gram", "remap_index", "remap_beta_to_
 # the range pickers the interpolation must leave to the coefficient set
 RANGE_PICKERS = {"altexp.transform._require_odd", "altexp.domain.domain_table"}
 # the tables and steps of the alternating path, which the std oracle must not use
-ALTERNATING_STEPS = {"_shift", "_unit_axis", "_phase_table", "_lattice_table", "_separable",
+ALTERNATING_STEPS = {"_shift", "_unit_axis", "_phases", "_lattice_table", "_separable",
                      "_forward", "domain_table", "table", "axis", "flat", "pos", "weight",
                      "_dense_cube"}
 

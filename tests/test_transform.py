@@ -1,5 +1,6 @@
 import cmath
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from altexp import transform
 from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
+from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
 from altexp.io import MissingKeyError, read_samples_csv, write_samples_csv
 from altexp.oracles import adft_forward_naive, discrete_gram
 from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_inverse
@@ -92,6 +94,30 @@ def test_optimized_matches_naive():
         fast = adft_forward(s).values
         slow = adft_forward_naive(s).values
         assert np.abs(fast - slow).max() < 1e-11
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transforms_hold_three_cubes():
+    # the gathered cube and two contraction steps: 3.06-3.40 cubes of N^3 complex
+    # values at N = 21; a result that must be copied to ravel holds one cube more
+    g = GridSpec(0.31, 0.37, 21)
+    s = random_samples(g, seed=21)
+    beta, interp = adft_forward(s), alt_interpolate_direct(s)   # and the tables are cached
+    cube = g.n ** 3 * 16
+    for fn, arg in ((adft_forward, s), (adft_inverse, beta), (alt_interpolate_direct, s)):
+        assert traced_peak(fn, arg) <= 3.75 * cube, fn.__name__
+    # one z of a slice: z is contracted first, so the intermediates are (K, K, 1) and
+    # (K, n, 1), K = 2M+1, 0.52 MiB in all; x first would hold (n, n, K), 5.5 MB
+    xs = np.arange(128) / 128
+    assert traced_peak(eval_psi_alt_tensor, interp, xs, xs, [0.25]) <= 2 ** 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
