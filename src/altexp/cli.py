@@ -93,7 +93,7 @@ def _read_input(path, read):
     """``read(fh)`` on the text file at ``path``; a failure to open, read,
     decode or parse it raises FormatError naming ``path``, never OSError."""
     try:
-        with open(path) as fh:
+        with open(path, newline="\n") as fh:    # untranslated: a '\r' reaches the grammar
             return read(fh)
     except OSError as exc:
         raise altio.FormatError(f"{path}: {exc.strerror}") from None

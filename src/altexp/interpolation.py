@@ -10,7 +10,9 @@ whose coefficients are the same weighted sums as the forward transform,
 taken over the widened index range.
 
 The coefficients form a "c_alt" ``CoefficientSet``, built by the forward of
-``transform`` and evaluated here alone.  On cyclically symmetric data the
+``transform`` and evaluated here, and on each slab's region block by the
+error functional of ``quadrature``, which contracts the same dense cube and
+``_phases`` table through ``_separable``.  On cyclically symmetric data the
 standard interpolant on the full N^3 cube is the same function;
 ``oracles.std_coefficient_cube`` computes its coefficients as a check.
 """

@@ -1,9 +1,9 @@
 """Midpoint quadrature over the fundamental region and error estimates.
 
 The region is the part of the unit cube with x > z and y > z (volume
-1/3).  ``_region_sum`` holds the rule: a cell counts when its center is
-in the region.  ``integrate_over_F`` and ``interpolation_error`` sum
-through it; ``continuous_gram_entry`` is the same sum reordered.
+1/3).  ``_region_sum`` holds the rule, a cell counts when its center is
+in the region, and hands ``integrate_over_F`` and ``interpolation_error``
+one slab's region block at a time; ``continuous_gram_entry`` reorders it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import rotations
-from .interpolation import InterpolantAlt, eval_psi_alt_tensor
+from .interpolation import InterpolantAlt, _phases
+from .transform import _separable
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,17 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _region_sum(n: int, block_values: Callable):
+def _region_sum(u: np.ndarray, block_values: Callable):
     """Midpoint-rule sum over {x > z, y > z}, divided by the n^3 cells.
 
-    The midpoints strictly increase, so the cells of the slab at the k-th
-    midpoint that lie in the region are exactly its block [k+1:, k+1:],
-    and the last slab has none.  ``block_values(k, pts)`` gets the (m, m,
-    3) cell centers of that block and returns their values.  Each slab is
-    summed whole, zero off the block, by numpy's pairwise summation, so
-    results are deterministic and independent of any threading.
+    ``u`` holds the n cell midpoints, ``_midpoints(n)`` times any period;
+    they strictly increase, so the cells of the slab at u[k] in the region
+    are exactly its block [k+1:, k+1:], and the last slab has none.
+    ``block_values(k, pts)`` gets the (m, m, 3) cell centers of that block
+    and returns their values.  Each slab is summed whole, zero off the
+    block, by numpy's pairwise summation: deterministic at any threading.
     """
-    u = _midpoints(n)
+    n = len(u)
     pts = np.empty((n, n, 3))
     pts[..., 0] = u[:, None]
     pts[..., 1] = u[None, :]
@@ -123,30 +124,23 @@ def integrate_over_F(fn: Callable, n: int):
 
     ``fn`` gets (..., 3) arrays of the region's cells and returns values of
     their leading shape."""
-    return _region_sum(n, lambda k, pts: fn(pts))
+    return _region_sum(_midpoints(n), lambda k, pts: fn(pts))
 
 
 def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     """Integral of |f - psi|^2 over T times the fundamental region, over T^3.
 
-    The interpolant is evaluated on chunks of z-slabs through its
-    separable tensor-grid path, so the cost is linear in the cell count.
-    ``f`` is called only on the cells of the region, one block at a time,
-    at their centers times the interpolant's period T.
+    ``f`` and psi are taken on each slab's region block alone, at the cell
+    centers times the period T, psi by ``_separable`` from one phase table.
     """
-    period = interp.grid.period
-    u = _midpoints(n) * period
-    chunk = max(1, (1 << 22) // (n * n))
-    psi = None
+    u = _midpoints(n) * interp.grid.period
+    cube, t = interp.coeffs._dense_cube(), _phases(interp, u)
 
     def squared_error(k, pts):
-        nonlocal psi
-        if k % chunk == 0:
-            psi = None   # free the last chunk first: one chunk of up to 64 MB is alive at a time
-            psi = eval_psi_alt_tensor(interp, u, u, u[k:k + chunk])
-        return np.abs(np.asarray(f(pts * period)) - psi[k + 1:, k + 1:, k % chunk]) ** 2
+        psi = _separable(cube, t[k + 1:], t[k + 1:], t[k:k + 1])[..., 0]
+        return np.abs(np.asarray(f(pts)) - psi) ** 2
 
-    return float(_region_sum(n, squared_error))
+    return float(_region_sum(u, squared_error))
 
 
 def _above(freq, u: np.ndarray) -> np.ndarray:

@@ -563,7 +563,7 @@ def test_sample_reader_parses_a_valid_body_at_most_twice(monkeypatch):
     (" r,s,t,re,im\x1c", False), ("r,s,t,re,im\u2003", False), ("\x1fr,s,t,re,im\r", False),
     ("\x85r,s,t,re,im", False), ("r,s,t,re,im\r ", False), ("r, s,t,re,im", False),
 ])
-def test_sample_reader_holds_the_header_to_the_line_rules(header, ok):
+def test_sample_reader_holds_the_header_to_the_line_rules(tmp_path, capsys, header, ok):
     # the header's line end and padding are the body's: one '\r' before the
     # newline and ASCII blanks; str.strip() would also take \x1c-\x1f and U+2003
     g, plain = sample_text()
@@ -575,6 +575,31 @@ def test_sample_reader_holds_the_header_to_the_line_rules(header, ok):
         assert got == (FormatError, "line 1: expected header 'r,s,t,re,im', got "
                        + repr(header.removesuffix("\r").strip(" \t\v\f")))
     assert_same_outcome(outcome(old_read_samples_csv, g, io.StringIO(text)), got)
+    # the CLI hands the reader the file's line ends untranslated
+    want = (0, "") if ok else (3, f"error: {tmp_path / 'in.csv'}: {got[1]}\n")
+    assert cli_transform(tmp_path, capsys, text) == want
+
+
+def cli_transform(tmp_path, capsys, text):
+    """Exit code and standard error of ``transform`` on a file holding ``text``
+    (an N=3 lattice at a = 0.31, b = 0.37, as ``sample_text``)."""
+    (tmp_path / "in.csv").write_bytes(text.encode())
+    code = main(["transform", "--in", str(tmp_path / "in.csv"), "--N", "3", "--a", "0.31",
+                 "--b", "0.37", "--out", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+def test_cli_names_the_line_of_a_stray_carriage_return(tmp_path, capsys):
+    # '\r\r\n' ends line 2: the CLI, as the reader, names line 2, not a bad line after it
+    g, plain = sample_text()
+    lines = plain.split("\n")
+    lines[1] += "\r\r"
+    lines[2] += "x"                      # a bad value on line 3
+    text = "\n".join(lines)
+    got = outcome(read_samples_csv, g, io.StringIO(text))
+    assert got == (FormatError, "line 2: '\\r' is outside the sample CSV grammar")
+    want = (3, f"error: {tmp_path / 'in.csv'}: {got[1]}\n")
+    assert cli_transform(tmp_path, capsys, text) == want
 
 
 @pytest.mark.parametrize("text", ["r,s,t,re,im", "r,s,t,re,im\n", "r,s,t,re,im\n\n\n",
@@ -777,8 +802,8 @@ def test_slice_writer_refuses_non_finite():
 # through the zgemm of transform._separable and fail under
 # OPENBLAS_CORETYPE=Haswell; err.csv goes through numpy's SIMD exp, whose bump
 # values change under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
-# though its two printed rows held there when these pins were set.  The grid,
-# s and e pins held under both.
+# and fails there (its N=5 row ends ...087443, not ...087441).  The grid, s
+# and e pins held under both.
 PINNED = {
     "b6.json": "00d2fbe384fd8a5bbd5c738d1703c307f1dc1edfc4a826bdd1fde74788bfa2f1",
     "b7.json": "935192610ccc616c677380905319a5b9adc10e35028e7599871f6ae3e4bbfc1e",

@@ -52,23 +52,23 @@ def integrate_over_F_reference(fn, n: int):
 
 def interpolation_error_reference(f, interp, n: int) -> float:
     """Oracle for ``interpolation_error``: ``f`` on every cell of each slab,
-    and the slab multiplied by the membership indicator."""
-    u = _midpoints(n)
+    at the midpoints times the period T, psi from the public tensor
+    evaluator on the slab's region block and zero elsewhere, and the slab
+    multiplied by the membership indicator."""
+    u = _midpoints(n) * interp.grid.period
     x = u[:, None]
     y = u[None, :]
     slab_sums = []
     pts = np.empty((n, n, 3))
-    chunk = max(1, (1 << 22) // (n * n))
-    for lo in range(0, n, chunk):
-        zs = u[lo:lo + chunk]
-        psi = eval_psi_alt_tensor(interp, u, u, zs)
-        for j, z in enumerate(zs):
-            pts[..., 0] = x
-            pts[..., 1] = y
-            pts[..., 2] = z
-            diff = np.abs(np.asarray(f(pts)) - psi[..., j]) ** 2
-            mask = (x > z) & (y > z)
-            slab_sums.append(np.sum(diff * mask))
+    for k, z in enumerate(u):
+        pts[..., 0] = x
+        pts[..., 1] = y
+        pts[..., 2] = z
+        psi = np.zeros((n, n), dtype=complex)
+        psi[k + 1:, k + 1:] = eval_psi_alt_tensor(interp, u[k + 1:], u[k + 1:], [z])[..., 0]
+        diff = np.abs(np.asarray(f(pts)) - psi) ** 2
+        mask = (x > z) & (y > z)
+        slab_sums.append(np.sum(diff * mask))
     return float(np.sum(np.asarray(slab_sums)) / n ** 3)
 
 
@@ -304,8 +304,8 @@ def test_interpolation_error_scales_with_the_period(period):
     assert abs(_stretched_bump_error(period) - _stretched_bump_error(1.0)) < 1e-12
 
 
-def _bump_lattice_interpolant(n, a=0.0, b=0.5):
-    g = GridSpec(a, b, n)
+def _bump_lattice_interpolant(n, a=0.0, b=0.5, period=1.0):
+    g = GridSpec(a, b, n, period=period)
     return alt_interpolate_direct(
         SampleSet.from_array(g, bump(FA, g.points()).astype(complex)))
 
@@ -319,7 +319,7 @@ def _bump_plus_wave(pts):
     (7, 0.0, 0.5, 32, None), (15, 0.0, 0.5, 64, None),
     (5, 0.31, 0.37, 32, None), (9, -0.4, 0.2, 17, _bump_plus_wave),
     (7, 0.31, 0.37, 64, _bump_plus_wave),
-    (7, 0.0, 0.5, 168, None),     # 168^3 > 2^22 cells: z-slabs in chunks of 148
+    (7, 0.0, 0.5, 168, None),     # the largest n here: region blocks up to 167 x 167
 ])
 def test_interpolation_error_matches_reference_bitwise(N, a, b, n, f):
     f = f or (lambda pts: bump(FA, pts))
@@ -329,18 +329,30 @@ def test_interpolation_error_matches_reference_bitwise(N, a, b, n, f):
     assert same_bits(got, interpolation_error_reference(f, interp, n))
 
 
-def test_interpolation_error_holds_one_chunk_of_the_interpolant():
-    # n = 200 takes its z-slabs 104 at a time (63.5 MiB of psi): 1.05 chunks
-    # traced at the peak, and 1.96 when the old chunk outlived the build of the next
-    n, chunk = 200, (1 << 22) // 200 ** 2
-    interp = _bump_lattice_interpolant(3)
+def test_interpolation_error_matches_reference_bitwise_at_a_period():
+    # the midpoint axis times T = 1.7 reaches f, psi's phases and the region rule
+    interp = _bump_lattice_interpolant(7, 0.31, 0.37, period=1.7)
+    f = lambda pts: bump(FA, np.asarray(pts) / 1.7)
+    got = interpolation_error(f, interp, 32)
+    assert type(got) is float
+    assert same_bits(got, interpolation_error_reference(f, interp, 32))
+
+
+@pytest.mark.parametrize("N, n, f", [(3, 200, lambda pts: np.zeros(pts.shape[:-1])),
+                                     (21, 128, lambda pts: bump(FA, pts))],
+                         ids=["zero", "bump"])
+def test_interpolation_error_holds_one_block_of_the_interpolant(N, n, f):
+    # the dense cube and about ten (n, n) arrays: the cell centers, a slab,
+    # psi on one block and f's own work
+    interp = _bump_lattice_interpolant(N)
+    interpolation_error(f, interp, n)     # warm: the table and numpy's first calls
     tracemalloc.start()
     try:
-        interpolation_error(lambda pts: np.zeros(pts.shape[:-1]), interp, n)
+        interpolation_error(f, interp, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n * chunk * np.dtype(complex).itemsize
+    assert peak <= (N ** 3 + 10 * n * n) * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
