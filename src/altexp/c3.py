@@ -127,25 +127,18 @@ def eval_EW_expanded(t: Sequence, p: Sequence) -> complex:
 
 
 def _closure(generators: list) -> list:
-    """Multiplicative closure of integer matrices, cut off at the 49th element
-    (one more than the order of the signed-permutation group): generators
-    that are not signed permutations give a group of the wrong order."""
-    elems = {}
-    frontier = [np.eye(3, dtype=int)] + [np.asarray(g) for g in generators]
-    for g in frontier:
-        elems[g.tobytes()] = g
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in list(elems.values()):
-                for prod in (g @ h, h @ g):
-                    key = prod.tobytes()
-                    if key not in elems:
-                        elems[key] = prod
-                        new.append(prod)
-                        if len(elems) > 48:
-                            return list(elems.values())
-        frontier = new
+    """The group of integer matrices walked breadth first from the identity by
+    right products with the generators (a finite group's inverses are powers),
+    cut off at the 49th element, one more than the signed permutations hold:
+    generators that are not signed permutations give a group of the wrong order."""
+    gens = [np.asarray(g) for g in generators]
+    elems, queue = {}, [np.eye(3, dtype=int)]
+    for g in queue:     # the queue grows as it is walked
+        if len(elems) > 48:
+            break
+        if g.tobytes() not in elems:
+            elems[g.tobytes()] = g
+            queue += [g @ h for h in gens]
     return list(elems.values())
 
 

@@ -5,8 +5,10 @@ back exactly (17 significant digits in CSV, ``float.__repr__`` in JSON),
 and refuse a non-finite value before writing anything.  numpy's C parser
 is the only reader of a sample body, under the grammar the README states;
 ``int()`` and ``float()`` only name the first line outside it.  The JSON
-reader converts each entry field as one column.  Both readers hand their
-keys and the table of their index range to one key check (``_place``).
+reader converts each entry field as one column, and refuses a file that
+lists fewer entries than its range holds before anything is sized by N.
+Both readers hand their keys and the table of their index range to one key
+check (``_place``).
 """
 
 from __future__ import annotations
@@ -226,7 +228,10 @@ def read_coefficients_json(fh: TextIO) -> CoefficientSet:
         grid = GridSpec(a, b, n, period)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    what = f"role {role!r} index range"
+    if len(values) < grid.point_count:     # refused before anything is sized by N
+        raise MissingKeyError(f"the {what} of N={n} holds {grid.point_count} triples; "
+                              f"the file lists {len(values)}")
     c = CoefficientSet(grid, role, np.empty(grid.point_count, dtype=complex))
-    c.values[:] = _place(c.table, (k, l, m_), values, "coeffs[{}]".format,
-                         f"role {role!r} index range")
+    c.values[:] = _place(c.table, (k, l, m_), values, "coeffs[{}]".format, what)
     return c

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,26 @@ def test_tilde_we_contains_stated_generator_action():
 
 def test_even_weyl_group_order():
     assert len(even_weyl_group()) == 24
+
+
+def as_set(elems):
+    return {tuple(map(tuple, g.tolist())) for g in elems}
+
+
+def test_even_weyl_group_is_the_rotations_of_the_cube():
+    # the signed permutation matrices of determinant +1, enumerated directly
+    signed = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            g = np.zeros((3, 3), dtype=int)
+            g[range(3), perm] = signs
+            signed.append(g)
+    rotations = as_set(g for g in signed if round(np.linalg.det(g)) == 1)
+    assert len(rotations) == 24
+    assert as_set(even_weyl_group()) == rotations
+    tilde = generate_tilde_we()
+    assert as_set(tilde) <= rotations
+    assert as_set(g @ h for g in tilde for h in tilde) == as_set(tilde)
 
 
 def test_symmetrization_trivial_cases():

@@ -196,6 +196,9 @@ def old_read_coefficients_json(fh):
         grid = GridSpec(a, b, n, period)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    if len(keys) < grid.point_count:
+        raise MissingKeyError(f"the role {role!r} index range of N={n} holds "
+                              f"{grid.point_count} triples; the file lists {len(keys)}")
     n1, n2 = (0, n - 1) if role == "beta" else (-m, m)
     return CoefficientSet(grid, role, old_place(domain_table(n1, n2), keys, values, where,
                                                 f"role {role!r} index range"))
@@ -736,7 +739,7 @@ def test_coefficient_reader_names_the_lowest_duplicate():
 
 
 def test_coefficient_reader_key_faults_keep_their_precedence():
-    entries, pos, index = shuffled_entries(14)
+    entries, pos, _ = shuffled_entries(14)
     missing = pos.index(0)
     dup = dict(entries[1] if missing != 1 else entries[2])
     body = [e for i, e in enumerate(entries) if i != missing] + [dup]
@@ -746,9 +749,10 @@ def test_coefficient_reader_key_faults_keep_their_precedence():
     assert coefficient_outcomes(body + [off]) == (
         FormatError, f"coeffs[{len(body)}]: (0, 1, 2) is not a triple of the "
                      "role 'c_alt' index range")
-    first = tuple(index[0].tolist())
+    # a file short of entries is refused by its count, before its keys are placed
     assert coefficient_outcomes(entries[:missing] + entries[missing + 1:]) == (
-        MissingKeyError, f"the role 'c_alt' index range is missing triple {first}")
+        MissingKeyError, f"the role 'c_alt' index range of N=21 holds {len(entries)} "
+                         f"triples; the file lists {len(entries) - 1}")
 
 
 # ----------------------------------------------------- non-finite refusals

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,11 +259,42 @@ def test_cli_inverse_rejects_malformed_field(tmp_path, capsys, field, value):
 
 
 def test_coefficients_json_names_missing_triple():
+    # three of D(0, 1)'s four triples: refused by the two counts
     obj = {"N": 2, "M": None, "a": 0.0, "b": 0.0, "T": 1.0, "role": "beta",
            "coeffs": [{"k": k, "l": l, "m": m, "re": 1.0, "im": 0.0}
                       for k, l, m in [(0, 0, 0), (1, 1, 0), (1, 1, 1)]]}
-    with pytest.raises(MissingKeyError, match=r"\(1, 0, 0\)"):
+    with pytest.raises(MissingKeyError, match="^the role 'beta' index range of N=2 holds 4 "
+                                              "triples; the file lists 3$"):
         read_coefficients_json(io.StringIO(json.dumps(obj)))
+
+
+def one_entry_json(n):
+    return json.dumps({"N": n, "M": None, "a": 0.0, "b": 0.0, "T": 1.0, "role": "beta",
+                       "coeffs": [{"k": 0, "l": 0, "m": 0, "re": 1.0, "im": 0.0}]})
+
+
+def test_a_short_coefficient_file_is_refused_before_anything_is_sized_by_n():
+    # a 117-byte file once built the N^3 position cube of its range (258 MiB at N=201)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingKeyError) as exc:
+            read_coefficients_json(io.StringIO(one_entry_json(201)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(exc.value) == ("the role 'beta' index range of N=201 holds 2707001 triples; "
+                              "the file lists 1")
+
+
+def test_cli_inverse_refuses_a_short_coefficient_file(tmp_path, capsys):
+    short, out = tmp_path / "short.json", tmp_path / "back.csv"
+    short.write_text(one_entry_json(201))
+    assert run(["inverse", "--in", short, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {short}: the role 'beta' index range of N=201 holds 2707001 "
+                   "triples; the file lists 1"]
+    assert not out.exists()
 
 
 def sample_lines(tmp_path):
