@@ -3,11 +3,14 @@
 The region is the part of the unit cube with x > z and y > z (volume
 1/3).  ``_region_sum`` holds the rule, a cell counts when its center is
 in the region, and hands ``integrate_over_F`` and ``interpolation_error``
-one slab's region block at a time; ``continuous_gram_entry`` reorders it.
+one slab's region block at a time, summing every slab in one (n, n) buffer
+per call; ``continuous_gram_entry`` reorders it into suffix sums, one per
+distinct frequency difference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -103,16 +106,21 @@ def _region_sum(u: np.ndarray, block_values: Callable):
     ``block_values(k, pts)`` gets the (m, m, 3) cell centers of that block
     and returns their values.  Each slab is summed whole, zero off the
     block, by numpy's pairwise summation: deterministic at any threading.
+    One (n, n) buffer holds every slab: slab k - 1 held block [k:, k:], so
+    slab k clears row k and column k and writes its own block over the rest;
+    a block of another dtype gets a new zeroed buffer of that dtype.
     """
     n = len(u)
     pts = np.empty((n, n, 3))
     pts[..., 0] = u[:, None]
     pts[..., 1] = u[None, :]
-    slab_sums = []
+    slab, slab_sums = np.zeros((n, n)), []
     for k in range(n - 1):
         pts[k + 1:, k + 1:, 2] = u[k]
         block = np.asarray(block_values(k, pts[k + 1:, k + 1:]))
-        slab = np.zeros((n, n), dtype=block.dtype)
+        if block.dtype != slab.dtype:
+            slab = np.zeros((n, n), dtype=block.dtype)
+        slab[k] = slab[:, k] = 0
         slab[k + 1:, k + 1:] = block
         slab_sums.append(np.sum(slab))
     slab_sums.append(0.0)    # the last slab, empty
@@ -158,12 +166,15 @@ def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     E_t conj(E_t'), reordered: each of its nine plain exponentials
     e^{2 pi i (ax+by+cz)} sums over the region's cells as
     sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums S,
-    so the cost is O(n), not O(n^3).
+    so the cost is O(n), not O(n^3).  The a and b differences of the nine
+    terms are the same nine pairs of labels, so one suffix sum is computed
+    per distinct difference, and the terms are summed in pair order.
     """
     u = _midpoints(n)
+    above = functools.cache(lambda d: _above(d, u))
     total = 0j
     for a1, b1, c1 in rotations(t):
         for a2, b2, c2 in rotations(tp):
             ez = np.exp(2j * np.pi * (c1 - c2) * u)
-            total += np.sum(ez * _above(a1 - a2, u) * _above(b1 - b2, u))
+            total += np.sum(ez * above(a1 - a2) * above(b1 - b2))
     return complex(total / n ** 3)

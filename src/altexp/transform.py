@@ -127,8 +127,10 @@ def _separable(cube: np.ndarray, tx, ty, tz) -> np.ndarray:
     axis: O(A I J K) per axis instead of O(ABC IJK) for the direct sum.  z goes
     first, so one z of a slice keeps the intermediates at (K, K, 1) and (K, n, 1)
     for a dense cube of side K, and x last, so the result is C-ordered and the
-    transforms' ``ravel`` is a view."""
-    return np.tensordot(tx, ty @ (cube @ tz.T), axes=1)
+    transforms' ``ravel`` is a view.  z and y are two matmuls, and x one more, of
+    tx with the (I, B C) view of their C-ordered (I, B, C) result."""
+    yz = ty @ (cube @ tz.T)
+    return (tx @ yz.reshape(len(yz), -1)).reshape(len(tx), *yz.shape[1:])
 
 
 def _forward(s: SampleSet, role: str) -> CoefficientSet:

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from altexp.domain import GridSpec, domain_table
+from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
 from altexp.interpolation import (alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor)
-from altexp.quadrature import (BumpParams, _midpoints, bump, continuous_gram_entry,
+from altexp.quadrature import (BumpParams, _above, _midpoints, bump, continuous_gram_entry,
                                integrate_over_F, interpolation_error)
 from altexp.transform import SampleSet
 
@@ -48,6 +48,18 @@ def integrate_over_F_reference(fn, n: int):
         mask = (x > z) & (y > z)
         slab_sums.append(np.sum(vals * mask))
     return np.sum(np.asarray(slab_sums)) / n ** 3
+
+
+def continuous_gram_entry_reference(t, tp, n: int) -> complex:
+    """The nine-term loop ``continuous_gram_entry`` reorders, with both
+    suffix sums of every term computed afresh."""
+    u = _midpoints(n)
+    total = 0j
+    for a1, b1, c1 in rotations(t):
+        for a2, b2, c2 in rotations(tp):
+            ez = np.exp(2j * np.pi * (c1 - c2) * u)
+            total += np.sum(ez * _above(a1 - a2, u) * _above(b1 - b2, u))
+    return complex(total / n ** 3)
 
 
 def interpolation_error_reference(f, interp, n: int) -> float:
@@ -234,6 +246,29 @@ def test_integrate_over_F_matches_reference_bitwise(fn, n):
         assert got == ref == 0 and same_bits(got, np.float64(0.0))
     else:
         assert same_bits(got, ref)
+
+
+@pytest.mark.parametrize("n", [2, 15, 16])
+def test_integrate_over_F_buffer_follows_the_block_dtype(n):
+    # slab k's values are complex when k % 3 == 1 and float otherwise, and
+    # nonzero across the block, so a stale row or column of the slab before
+    # would show in the sum; the last slab, empty, which only the reference
+    # evaluates, stays float, so that it does not decide the result's dtype
+    def fn(pts):
+        e, k = eval_E((2, 1, 0), pts), int(pts[0, 0, 2] * n)
+        return e if k % 3 == 1 and k < n - 1 else e.real
+
+    assert same_bits(integrate_over_F(fn, n), integrate_over_F_reference(fn, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 64])
+def test_continuous_gram_matches_the_nine_term_loop_bitwise(n):
+    keys = list(map(tuple, domain_table(0, 2).index.tolist()))
+    pairs = [(t, tp) for t in keys for tp in keys]
+    pairs += [((0, 1, 2), (2, 0, 1)), ((-1, 3, -2), (2, -2, 0))]   # not semidominant
+    for t, tp in pairs:
+        got, ref = continuous_gram_entry(t, tp, n), continuous_gram_entry_reference(t, tp, n)
+        assert type(got) is complex and same_bits(got, ref), (t, tp)
 
 
 def test_continuous_gram_diagonal_constant():

@@ -8,7 +8,7 @@ import pytest
 from altexp import transform
 from altexp.domain import GridSpec, domain_table
 from altexp.functions import eval_E
-from altexp.interpolation import alt_interpolate_direct, eval_psi_alt_tensor
+from altexp.interpolation import _phases, alt_interpolate_direct, eval_psi_alt_tensor
 from altexp.io import MissingKeyError, read_samples_csv, write_samples_csv
 from altexp.oracles import adft_forward_naive, discrete_gram
 from altexp.transform import CoefficientSet, SampleSet, adft_forward, adft_inverse
@@ -118,6 +118,44 @@ def test_transforms_hold_three_cubes():
     # (K, n, 1), K = 2M+1, 0.52 MiB in all; x first would hold (n, n, K), 5.5 MB
     xs = np.arange(128) / 128
     assert traced_peak(eval_psi_alt_tensor, interp, xs, xs, [0.25]) <= 2 ** 20
+
+
+def tensordot_separable(cube, tx, ty, tz):
+    """Reference for ``transform._separable``: its z and y matmuls, then x by
+    ``np.tensordot``, which reshapes and calls the zgemm ``_separable`` calls."""
+    return np.tensordot(tx, ty @ (cube @ tz.T), axes=1)
+
+
+def _separable_cases():
+    cases = []
+    for n in (6, 7):
+        g = GridSpec(0.31, 0.37, n)
+        s = random_samples(g, seed=n)
+        w = transform._lattice_table(s.table.axis, g)
+        cases.append((f"forward N={n}", (s.values[s.table.pos], w, w, w)))
+        beta = adft_forward(s)
+        w = transform._lattice_table(beta.table.axis, g, sign=1).T    # F-ordered
+        cases.append((f"inverse N={n}", (beta._dense_cube(), w, w, w)))
+    interp = alt_interpolate_direct(random_samples(GridSpec(0.31, 0.37, 7), seed=8))
+    cube, u = interp.coeffs._dense_cube(), (np.arange(64) + 0.5) / 64
+    t = _phases(interp, u)
+    cases.append(("slice (K, K, 1)", (cube, t[:7], t[7:14], t[20:21])))
+    for m in (1, 2, 40):    # slab k's region block: m = 1 ends in (1, K) @ (K, 1)
+        k = 63 - m
+        cases.append((f"slab block m={m}", (cube, t[k + 1:], t[k + 1:], t[k:k + 1])))
+    rng = np.random.default_rng(9)
+    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cases.append(("non-square", (c(3, 4, 5), c(2, 3), c(6, 4), c(7, 5))))
+    return cases
+
+
+@pytest.mark.parametrize("args", [pytest.param(a, id=name) for name, a in _separable_cases()])
+def test_separable_matches_tensordot_bitwise_and_einsum(args):
+    got, ref = transform._separable(*args), tensordot_separable(*args)
+    assert got.shape == ref.shape and got.dtype == ref.dtype and got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+    direct = np.einsum("ai,bj,ck,ijk->abc", args[1], args[2], args[3], args[0])
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
