@@ -11,8 +11,7 @@ from .functions import (eval_E, operator_eigenvalue, point_product_identity,
                         product_indices, shift_phase, sigma_k)
 from .interpolation import (InterpolantAlt, alt_interpolate_direct, eval_psi_alt,
                             eval_psi_alt_tensor)
-from .quadrature import (BumpParams, bump, continuous_gram_entry,
-                         integrate_over_F, interpolation_error)
+from .quadrature import BumpParams, bump, continuous_gram_entry, interpolation_error
 from .io import FormatError, MissingKeyError
 from .transform import (CoefficientSet, ParityError, SampleSet, adft_forward,
                         adft_inverse)

@@ -11,10 +11,11 @@ taken over the widened index range.
 
 The coefficients form a "c_alt" ``CoefficientSet``, built by the forward of
 ``transform`` and evaluated here, and on each slab's region block by the
-error functional of ``quadrature``, which contracts the same dense cube and
-``_phases`` table through ``_separable``.  On cyclically symmetric data the
-standard interpolant on the full N^3 cube is the same function;
-``oracles.std_coefficient_cube`` computes its coefficients as a check.
+error functional of ``quadrature``, the one walk of the region rule, which
+contracts the same dense cube and ``_phases`` table through ``_separable``.
+On cyclically symmetric data the standard interpolant on the full N^3 cube
+is the same function; ``oracles.std_coefficient_cube`` computes its
+coefficients as a check.
 """
 
 from __future__ import annotations

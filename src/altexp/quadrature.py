@@ -1,11 +1,11 @@
 """Midpoint quadrature over the fundamental region and error estimates.
 
 The region is the part of the unit cube with x > z and y > z (volume
-1/3).  ``_region_sum`` holds the rule, a cell counts when its center is
-in the region, and hands ``integrate_over_F`` and ``interpolation_error``
-one slab's region block at a time, summing every slab in one (n, n) buffer
-per call; ``continuous_gram_entry`` reorders it into suffix sums, one per
-distinct frequency difference.
+1/3).  A cell counts when its center is in the region.
+``interpolation_error`` walks the rule one slab's region block at a time
+and sums every slab in one (n, n) buffer per call;
+``continuous_gram_entry`` reorders it into suffix sums, one per distinct
+frequency difference.
 """
 
 from __future__ import annotations
@@ -97,64 +97,38 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _region_sum(u: np.ndarray, block_values: Callable):
-    """Midpoint-rule sum over {x > z, y > z}, divided by the n^3 cells.
+def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
+    """Integral of |f - psi|^2 over T times the fundamental region, over T^3.
 
-    ``u`` holds the n cell midpoints, ``_midpoints(n)`` times any period;
-    they strictly increase, so the cells of the slab at u[k] in the region
-    are exactly its block [k+1:, k+1:], and the last slab has none.
-    ``block_values(k, pts)`` gets the (m, m, 3) cell centers of that block
-    and returns their values.  Each slab is summed whole, zero off the
-    block, by numpy's pairwise summation: deterministic at any threading.
-    One (n, n) buffer holds every slab: slab k - 1 held block [k:, k:], so
-    slab k clears row k and column k and writes its own block over the rest;
-    a block of another dtype gets a new zeroed buffer of that dtype.
+    The n cell midpoints u, times the period T, strictly increase, so the
+    cells of the slab at u[k] in the region are exactly its block
+    [k+1:, k+1:], and the last slab has none.  ``f`` gets the (m, m, 3) cell
+    centers of that block alone, and psi is contracted on it by
+    ``_separable`` from one phase table.  Each slab is summed whole, zero
+    off the block, by numpy's pairwise summation: deterministic at any
+    threading.  One float64 (n, n) buffer holds every slab: slab k - 1 held
+    block [k:, k:], so slab k clears row k and column k and writes its own
+    block over the rest.
     """
-    n = len(u)
+    u = _midpoints(n) * interp.grid.period
+    cube, t = interp.coeffs._dense_cube(), _phases(interp, u)
     pts = np.empty((n, n, 3))
     pts[..., 0] = u[:, None]
     pts[..., 1] = u[None, :]
     slab, slab_sums = np.zeros((n, n)), []
     for k in range(n - 1):
         pts[k + 1:, k + 1:, 2] = u[k]
-        block = np.asarray(block_values(k, pts[k + 1:, k + 1:]))
-        if block.dtype != slab.dtype:
-            slab = np.zeros((n, n), dtype=block.dtype)
+        psi = _separable(cube, t[k + 1:], t[k + 1:], t[k:k + 1])[..., 0]
         slab[k] = slab[:, k] = 0
-        slab[k + 1:, k + 1:] = block
+        slab[k + 1:, k + 1:] = np.abs(np.asarray(f(pts[k + 1:, k + 1:])) - psi) ** 2
         slab_sums.append(np.sum(slab))
     slab_sums.append(0.0)    # the last slab, empty
-    return np.sum(np.asarray(slab_sums)) / n ** 3
+    return float(np.sum(np.asarray(slab_sums)) / n ** 3)
 
 
-def integrate_over_F(fn: Callable, n: int):
-    """Midpoint-rule integral of ``fn`` over {x > z, y > z} in the cube.
-
-    ``fn`` gets (..., 3) arrays of the region's cells and returns values of
-    their leading shape."""
-    return _region_sum(_midpoints(n), lambda k, pts: fn(pts))
-
-
-def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
-    """Integral of |f - psi|^2 over T times the fundamental region, over T^3.
-
-    ``f`` and psi are taken on each slab's region block alone, at the cell
-    centers times the period T, psi by ``_separable`` from one phase table.
-    """
-    u = _midpoints(n) * interp.grid.period
-    cube, t = interp.coeffs._dense_cube(), _phases(interp, u)
-
-    def squared_error(k, pts):
-        psi = _separable(cube, t[k + 1:], t[k + 1:], t[k:k + 1])[..., 0]
-        return np.abs(np.asarray(f(pts)) - psi) ** 2
-
-    return float(_region_sum(u, squared_error))
-
-
-def _above(freq, u: np.ndarray) -> np.ndarray:
-    """S[k] = sum of e^{2 pi i freq u_j} over the midpoints u_j > u_k: the
-    rows, and the columns, of the block ``_region_sum`` takes of slab k."""
-    e = np.exp(2j * np.pi * freq * u)
+def _above(e: np.ndarray) -> np.ndarray:
+    """S[k] = sum of e[j] over j > k: for e = e^{2 pi i freq u} at the
+    midpoints u, the rows, and the columns, of slab k's region block."""
     return np.concatenate([np.cumsum(e[::-1])[::-1][1:], [0.0]])
 
 
@@ -162,19 +136,20 @@ def continuous_gram_entry(t: Sequence, tp: Sequence, n: int) -> complex:
     """Quadrature estimate of the overlap of E_t and E_t' on the region.
 
     Converges to the orbit weight G of t (3 if k = l = m, else 1) when
-    t = t' and to 0 otherwise.  The value is the ``_region_sum`` of
-    E_t conj(E_t'), reordered: each of its nine plain exponentials
+    t = t' and to 0 otherwise.  The value is the midpoint sum over the region
+    of E_t conj(E_t'), reordered: each of its nine plain exponentials
     e^{2 pi i (ax+by+cz)} sums over the region's cells as
     sum_k e^{2 pi i c z_k} S_a(k) S_b(k), with ``_above`` suffix sums S,
-    so the cost is O(n), not O(n^3).  The a and b differences of the nine
-    terms are the same nine pairs of labels, so one suffix sum is computed
-    per distinct difference, and the terms are summed in pair order.
+    so the cost is O(n), not O(n^3).  The a, b and c differences of the
+    nine terms are the same nine pairs of labels, so one exponential and
+    one suffix sum are computed per distinct difference, and the terms are
+    summed in pair order.
     """
     u = _midpoints(n)
-    above = functools.cache(lambda d: _above(d, u))
+    e = functools.cache(lambda d: np.exp(2j * np.pi * d * u))
+    above = functools.cache(lambda d: _above(e(d)))
     total = 0j
     for a1, b1, c1 in rotations(t):
         for a2, b2, c2 in rotations(tp):
-            ez = np.exp(2j * np.pi * (c1 - c2) * u)
-            total += np.sum(ez * above(a1 - a2) * above(b1 - b2))
+            total += np.sum(e(c1 - c2) * above(a1 - a2) * above(b1 - b2))
     return complex(total / n ** 3)

@@ -7,11 +7,11 @@ import pytest
 
 from altexp.domain import GridSpec, domain_table, rotations
 from altexp.functions import eval_E
-from altexp.interpolation import (alt_interpolate_direct, eval_psi_alt,
+from altexp.interpolation import (InterpolantAlt, alt_interpolate_direct, eval_psi_alt,
                                   eval_psi_alt_tensor)
 from altexp.quadrature import (BumpParams, _above, _midpoints, bump, continuous_gram_entry,
-                               integrate_over_F, interpolation_error)
-from altexp.transform import SampleSet
+                               interpolation_error)
+from altexp.transform import CoefficientSet, SampleSet
 
 FA = BumpParams(0.1, 0.2, (0.75, 0.75, 0.25))
 
@@ -33,8 +33,9 @@ def bump_reference(params: BumpParams, p) -> float:
 
 
 def integrate_over_F_reference(fn, n: int):
-    """Oracle for ``integrate_over_F``: ``fn`` on every cell of each slab,
-    and the slab multiplied by the membership indicator."""
+    """The generic slab rule: the midpoint integral of ``fn`` over the
+    region, ``fn`` on every cell of each slab, and the slab multiplied by
+    the membership indicator."""
     u = _midpoints(n)
     x = u[:, None]
     y = u[None, :]
@@ -58,7 +59,8 @@ def continuous_gram_entry_reference(t, tp, n: int) -> complex:
     for a1, b1, c1 in rotations(t):
         for a2, b2, c2 in rotations(tp):
             ez = np.exp(2j * np.pi * (c1 - c2) * u)
-            total += np.sum(ez * _above(a1 - a2, u) * _above(b1 - b2, u))
+            total += np.sum(ez * _above(np.exp(2j * np.pi * (a1 - a2) * u))
+                            * _above(np.exp(2j * np.pi * (b1 - b2) * u)))
     return complex(total / n ** 3)
 
 
@@ -213,15 +215,16 @@ def test_scalar_and_vectorised_samplers_agree_bitwise(n, a, b):
     assert scalar.values.tobytes() == vectorised.values.tobytes()
 
 
+# psi = 0: the error functional is the midpoint integral of |f|^2 over the region
+ZERO = InterpolantAlt(CoefficientSet(GridSpec(0, 0.5, 1), "c_alt", np.zeros(1)))
+
+
 def test_volume_of_region():
     # exact volume of {x > z, y > z} in the cube is 1/3
     for n in (32, 64, 128):
-        volume = integrate_over_F(lambda pts: np.ones(pts.shape[:-1]), n)
+        volume = interpolation_error(lambda pts: np.ones(pts.shape[:-1]), ZERO, n)
         assert abs(volume - 1 / 3) < 3 / n
-
-
-def test_integrate_zero():
-    assert integrate_over_F(lambda pts: np.zeros(pts.shape[:-1]), 16) == 0.0
+    assert interpolation_error(lambda pts: np.zeros(pts.shape[:-1]), ZERO, 16) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 33, 64])
@@ -231,6 +234,7 @@ def test_integrate_zero():
     lambda pts: eval_E((2, 1, 0), pts) * np.conj(eval_E((1, 1, 0), pts)),
     lambda pts: np.ones(pts.shape[:-1])], ids=["bump", "bump+wave", "gram", "one"])
 def test_integrate_over_F_matches_reference_bitwise(fn, n):
+    # the error functional's region rule against the generic slab rule, at psi = 0
     calls = []
 
     def in_region(pts):
@@ -240,25 +244,14 @@ def test_integrate_over_F_matches_reference_bitwise(fn, n):
         calls.append(pts.shape[:-1])
         return fn(pts)
 
-    got, ref = integrate_over_F(in_region, n), integrate_over_F_reference(fn, n)
+    got = interpolation_error(in_region, ZERO, n)
+    ref = integrate_over_F_reference(lambda pts: np.abs(fn(pts)) ** 2, n)
     assert calls == [(m, m) for m in range(n - 1, 0, -1)]     # one block per slab
+    assert type(got) is float
     if n == 1:    # no cell center is in the region, and fn gives no dtype
-        assert got == ref == 0 and same_bits(got, np.float64(0.0))
+        assert got == ref == 0 and same_bits(np.float64(got), np.float64(0.0))
     else:
-        assert same_bits(got, ref)
-
-
-@pytest.mark.parametrize("n", [2, 15, 16])
-def test_integrate_over_F_buffer_follows_the_block_dtype(n):
-    # slab k's values are complex when k % 3 == 1 and float otherwise, and
-    # nonzero across the block, so a stale row or column of the slab before
-    # would show in the sum; the last slab, empty, which only the reference
-    # evaluates, stays float, so that it does not decide the result's dtype
-    def fn(pts):
-        e, k = eval_E((2, 1, 0), pts), int(pts[0, 0, 2] * n)
-        return e if k % 3 == 1 and k < n - 1 else e.real
-
-    assert same_bits(integrate_over_F(fn, n), integrate_over_F_reference(fn, n))
+        assert same_bits(np.float64(got), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 64])
@@ -288,12 +281,13 @@ def test_continuous_gram_entries():
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_continuous_gram_is_the_midpoint_sum(n):
-    # the reordered sum visits the cells integrate_over_F visits
+    # the reordered sum visits the cells of the generic slab rule
     keys = list(map(tuple, domain_table(0, 2).index.tolist()))
     pairs = [(t, tp) for i, t in enumerate(keys) for tp in keys[i:]]
     pairs.append(((0, 1, 2), (2, 0, 1)))              # not semidominant
     for t, tp in pairs:
-        ref = integrate_over_F(lambda pts: eval_E(t, pts) * np.conj(eval_E(tp, pts)), n)
+        ref = integrate_over_F_reference(
+            lambda pts: eval_E(t, pts) * np.conj(eval_E(tp, pts)), n)
         assert abs(continuous_gram_entry(t, tp, n) - ref) < 1e-14
 
 
@@ -403,7 +397,7 @@ def test_interpolation_error_calls_f_only_in_region(n):
         return bump(FA, pts)
 
     got = interpolation_error(f, interp, n)
-    assert len(calls) == max(n - 1, 0)
+    assert calls == [(m, m) for m in range(n - 1, 0, -1)]     # one block per slab
     assert same_bits(got, interpolation_error_reference(
         lambda pts: bump(FA, pts), interp, n))
 
@@ -412,7 +406,7 @@ def test_interpolation_error_calls_f_only_in_region(n):
 def test_quadrature_rejects_nonpositive_subdivisions(n):
     interp = _bump_lattice_interpolant(3)
     f = lambda pts: bump(FA, pts)
-    for call in (lambda: integrate_over_F(f, n), lambda: interpolation_error(f, interp, n),
+    for call in (lambda: interpolation_error(f, interp, n),
                  lambda: continuous_gram_entry((0, 0, 0), (0, 0, 0), n)):
         with pytest.raises(ValueError, match="subdivision count"):
             call()
@@ -421,6 +415,6 @@ def test_quadrature_rejects_nonpositive_subdivisions(n):
 def test_quadrature_numpy_integer_count_gives_the_bits_of_an_int():
     interp = _bump_lattice_interpolant(3)
     f = lambda pts: bump(FA, pts)
-    for call in (lambda n: integrate_over_F(f, n), lambda n: interpolation_error(f, interp, n),
+    for call in (lambda n: interpolation_error(f, interp, n),
                  lambda n: continuous_gram_entry((2, 1, 0), (2, 1, 0), n)):
         assert same_bits(call(np.int64(3)), call(3))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altexp import transform
 from altexp.domain import GridSpec, domain_table
@@ -94,6 +95,29 @@ def test_optimized_matches_naive():
         fast = adft_forward(s).values
         slow = adft_forward_naive(s).values
         assert np.abs(fast - slow).max() < 1e-11
+
+
+LARGE_SHIFT = 10000.31
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 9), a=st.one_of(st.floats(-2, 2), st.just(LARGE_SHIFT)),
+       b=st.floats(0, 1), period=st.floats(0.3, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_transforms_match_the_naive_sums(n, a, b, period, seed):
+    # verify's tolerances: 1e-12, and 1e-14 at the large shift, where only exact phases hold
+    tol = 1e-14 if a == LARGE_SHIFT else 1e-12
+    g = GridSpec(a, b, n, period=period)
+    s = random_samples(g, seed)
+    assert np.abs(adft_forward(s).values - adft_forward_naive(s).values).max() < tol
+    if n % 2:
+        c_alt = alt_interpolate_direct(s).coeffs.values
+        assert np.abs(c_alt - adft_forward_naive(s, "c_alt").values).max() < tol
+    beta = CoefficientSet(g, "beta", s.values)
+    pts = g._unit_axis()[g.table.index]
+    direct = sum(v * eval_E(t, pts) for t, v in zip(g.table.index.tolist(), beta.values))
+    # |E| <= 3: the gap relative to the largest value the P terms can sum to
+    bound = 3 * np.abs(beta.values).sum()
+    assert np.abs(adft_inverse(beta).values - direct).max() < tol * bound
 
 
 def traced_peak(fn, *args) -> int:
