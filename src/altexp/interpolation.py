@@ -55,7 +55,10 @@ def _phases(i: InterpolantAlt, u) -> np.ndarray:
 
 def eval_psi_alt(i: InterpolantAlt, p) -> complex:
     """Evaluate the alternating interpolant at point(s) p, one k-plane of the
-    dense cube at a time: O(points * (2M+1)) memory."""
+    dense cube at a time: O(points * (2M+1)) memory.  ``p`` is a point or
+    an (..., 3) array."""
+    if np.shape(p)[-1:] != (3,):
+        raise ValueError(f"points must have a last axis of 3 coordinates, got shape {np.shape(p)}")
     ex, ey, ez = (_phases(i, u) for u in np.reshape(p, (-1, 3)).T)
     acc = sum(ex[:, k] * np.einsum("qm,qm->q", ey @ plane, ez)
               for k, plane in enumerate(i.coeffs._dense_cube())).reshape(np.shape(p)[:-1])
@@ -64,6 +67,10 @@ def eval_psi_alt(i: InterpolantAlt, p) -> complex:
 
 def eval_psi_alt_tensor(i: InterpolantAlt, xs, ys, zs) -> np.ndarray:
     """Evaluate on the tensor grid xs x ys x zs: shape (len(xs), len(ys), len(zs)),
-    in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation."""
+    in O((2M+1) n^3) instead of the O((2M+1)^3 n^3) of pointwise evaluation.
+    ``xs``, ``ys`` and ``zs`` are 1-D."""
+    if any(np.ndim(u) != 1 for u in (xs, ys, zs)):
+        raise ValueError("coordinate arrays must be 1-D, got shapes "
+                         + ", ".join(str(np.shape(u)) for u in (xs, ys, zs)))
     tx, ty, tz = (_phases(i, u) for u in (xs, ys, zs))
     return _separable(i.coeffs._dense_cube(), tx, ty, tz)

@@ -2,8 +2,9 @@
 
 The region is the part of the unit cube with x > z and y > z (volume
 1/3).  A cell counts when its center is in the region.
-``interpolation_error`` walks the rule one slab's region block at a time
-and sums every slab in one (n, n) buffer per call;
+``interpolation_error`` walks the rule one slab's region block at a time,
+calls ``f`` once per run of slabs and sums every slab in one (n, n)
+buffer per call;
 ``continuous_gram_entry`` reorders it into suffix sums, one per distinct
 frequency difference.
 """
@@ -97,31 +98,64 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+def _runs(n: int) -> list:
+    """Slabs 0 .. n-2 in order, grouped greedily into runs whose region
+    blocks, m x m for m = n-1-k, hold at most (n-1)^2 cells together, the
+    size of the first block: each run a list of (k, m, offset of the block
+    in the run)."""
+    runs, cells = [], (n - 1) ** 2    # as if a run were full: slab 0 opens one
+    for k in range(n - 1):
+        m = n - 1 - k
+        if cells + m * m > (n - 1) ** 2:
+            runs.append([])
+            cells = 0
+        runs[-1].append((k, m, cells))
+        cells += m * m
+    return runs
+
+
 def interpolation_error(f: Callable, interp: InterpolantAlt, n: int) -> float:
     """Integral of |f - psi|^2 over T times the fundamental region, over T^3.
 
     The n cell midpoints u, times the period T, strictly increase, so the
     cells of the slab at u[k] in the region are exactly its block
-    [k+1:, k+1:], and the last slab has none.  ``f`` gets the (m, m, 3) cell
-    centers of that block alone, and psi is contracted on it by
+    [k+1:, k+1:], and the last slab has none.  The slabs go in runs
+    (``_runs``) of at most (n-1)^2 cells, and ``f`` is called once per run
+    on the region's cell centers alone: a run of one slab as its (m, m, 3)
+    block of the (n, n, 3) cell centers, a longer run as one (c, 3) copy
+    of its blocks' cells in slab order.  ``f`` returns a scalar, broadcast
+    to every cell, or one value per cell, of the leading shape it was
+    given; any other shape is refused.  psi is contracted on each block by
     ``_separable`` from one phase table.  Each slab is summed whole, zero
     off the block, by numpy's pairwise summation: deterministic at any
-    threading.  One float64 (n, n) buffer holds every slab: slab k - 1 held
-    block [k:, k:], so slab k clears row k and column k and writes its own
-    block over the rest.
+    threading.  One float64 (n, n) buffer holds every slab: slab k - 1
+    held block [k:, k:], so slab k clears row k and column k and writes
+    its own block over the rest.
     """
     u = _midpoints(n) * interp.grid.period
     cube, t = interp.coeffs._dense_cube(), _phases(interp, u)
     pts = np.empty((n, n, 3))
     pts[..., 0] = u[:, None]
     pts[..., 1] = u[None, :]
+    packed = np.empty(((n - 1) ** 2, 3))
     slab, slab_sums = np.zeros((n, n)), []
-    for k in range(n - 1):
-        pts[k + 1:, k + 1:, 2] = u[k]
-        psi = _separable(cube, t[k + 1:], t[k + 1:], t[k:k + 1])[..., 0]
-        slab[k] = slab[:, k] = 0
-        slab[k + 1:, k + 1:] = np.abs(np.asarray(f(pts[k + 1:, k + 1:])) - psi) ** 2
-        slab_sums.append(np.sum(slab))
+    for run in _runs(n):
+        for k, m, at in run:
+            pts[k + 1:, k + 1:, 2] = u[k]
+            if len(run) > 1:
+                packed[at:at + m * m].reshape(m, m, 3)[...] = pts[k + 1:, k + 1:]
+        # k, m and at are those of the run's last block
+        cells = pts[k + 1:, k + 1:] if len(run) == 1 else packed[:at + m * m]
+        values = np.asarray(f(cells))
+        if values.shape not in ((), cells.shape[:-1]):
+            raise ValueError(f"f must return a scalar, shape (), or one value per cell, "
+                             f"shape {cells.shape[:-1]}; got shape {values.shape}")
+        for k, m, at in run:
+            psi = _separable(cube, t[k + 1:], t[k + 1:], t[k:k + 1])[..., 0]
+            block = values[at:at + m * m].reshape(m, m) if values.ndim == 1 else values
+            slab[k] = slab[:, k] = 0
+            slab[k + 1:, k + 1:] = np.abs(block - psi) ** 2
+            slab_sums.append(slab.sum())
     slab_sums.append(0.0)    # the last slab, empty
     return float(np.sum(np.asarray(slab_sums)) / n ** 3)
 

@@ -73,8 +73,8 @@ class SampleSet:
         point as a tuple of floats, in enumeration order.  A ``fn`` that
         takes (..., 3) arrays is faster as ``from_array(grid,
         fn(grid.points()))``."""
-        return cls(grid, np.array([complex(fn(tuple(p)))
-                                   for p in grid.points().tolist()], dtype=complex))
+        return cls(grid, np.array([complex(fn(p)) for p in zip(*grid.points().T.tolist())],
+                                  dtype=complex))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import inspect
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -270,6 +271,24 @@ def test_eval_psi_alt_memory_linear_in_points():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [(0.1, 0.2, 0.3, 0.4, 0.5, 0.6), np.zeros((4, 2)), 0.5],
+                         ids=["six", "pairs", "scalar"])
+def test_eval_psi_alt_refuses_points_without_three_coordinates(p):
+    interp = alt_interpolate_direct(random_samples(GridSpec(0, 0.5, 3), seed=60))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(p)}")):
+        eval_psi_alt(interp, p)
+
+
+def test_eval_psi_alt_tensor_refuses_coordinates_not_1d():
+    # a (2, 2) xs was read as four points, giving a (4, 3, 1) result
+    interp = alt_interpolate_direct(random_samples(GridSpec(0, 0.5, 3), seed=61))
+    xs = np.array([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match=re.escape("1-D, got shapes (2, 2), (3,), (1,)")):
+        eval_psi_alt_tensor(interp, xs, [0.1, 0.2, 0.3], [0.5])
+    with pytest.raises(ValueError, match=re.escape("1-D, got shapes (3,), (3,), ()")):
+        eval_psi_alt_tensor(interp, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.5)
 
 
 def test_std_interpolation_constant_and_basis():

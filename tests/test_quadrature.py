@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -89,6 +90,31 @@ def interpolation_error_reference(f, interp, n: int) -> float:
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def in_region(fn, calls):
+    """``fn``, refusing any cell off the region and recording the cells of
+    each call as a (c, 3) array."""
+    def call(pts):
+        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+        if not ((x > z) & (y > z)).all():
+            raise AssertionError("f called outside {x > z, y > z}")
+        calls.append(np.array(pts).reshape(-1, 3))
+        return fn(pts)
+    return call
+
+
+def assert_calls_pack_the_region(calls, n: int):
+    """The calls' cells, concatenated, are the region's cell centers in slab
+    order, block by block in C order, at most (n-1)^2 in each call."""
+    u = _midpoints(n)
+    region = [np.stack(np.broadcast_arrays(u[k + 1:, None], u[None, k + 1:], u[k]), axis=-1)
+              for k in range(n - 1)]
+    want = np.concatenate([b.reshape(-1, 3) for b in region] or [np.empty((0, 3))])
+    assert np.array_equal(np.concatenate(calls or [np.empty((0, 3))]), want)
+    assert all(len(c) <= (n - 1) ** 2 for c in calls)
+    if n == 64:
+        assert len(calls) == 27    # 18 single slabs and 9 packed runs, not 63 slabs
 
 
 def test_bump_plateau_and_tail():
@@ -236,17 +262,9 @@ def test_volume_of_region():
 def test_integrate_over_F_matches_reference_bitwise(fn, n):
     # the error functional's region rule against the generic slab rule, at psi = 0
     calls = []
-
-    def in_region(pts):
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        if not ((x > z) & (y > z)).all():
-            raise AssertionError("fn called outside {x > z, y > z}")
-        calls.append(pts.shape[:-1])
-        return fn(pts)
-
-    got = interpolation_error(in_region, ZERO, n)
+    got = interpolation_error(in_region(fn, calls), ZERO, n)
     ref = integrate_over_F_reference(lambda pts: np.abs(fn(pts)) ** 2, n)
-    assert calls == [(m, m) for m in range(n - 1, 0, -1)]     # one block per slab
+    assert_calls_pack_the_region(calls, n)
     assert type(got) is float
     if n == 1:    # no cell center is in the region, and fn gives no dtype
         assert got == ref == 0 and same_bits(np.float64(got), np.float64(0.0))
@@ -388,18 +406,33 @@ def test_interpolation_error_holds_one_block_of_the_interpolant(N, n, f):
 def test_interpolation_error_calls_f_only_in_region(n):
     interp = _bump_lattice_interpolant(7)
     calls = []
-
-    def f(pts):
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        if not ((x > z) & (y > z)).all():
-            raise AssertionError("f called outside {x > z, y > z}")
-        calls.append(pts.shape[:-1])
-        return bump(FA, pts)
-
-    got = interpolation_error(f, interp, n)
-    assert calls == [(m, m) for m in range(n - 1, 0, -1)]     # one block per slab
+    got = interpolation_error(in_region(lambda pts: bump(FA, pts), calls), interp, n)
+    assert_calls_pack_the_region(calls, n)
     assert same_bits(got, interpolation_error_reference(
         lambda pts: bump(FA, pts), interp, n))
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5 - 0.25j, np.float64(2.0)])
+def test_interpolation_error_broadcasts_a_scalar_f(value):
+    # a scalar stands for every cell of a block or a packed run
+    interp = _bump_lattice_interpolant(7)
+    got = interpolation_error(lambda pts: value, interp, 64)
+    want = interpolation_error(lambda pts: np.full(pts.shape[:-1], value), interp, 64)
+    assert type(got) is float and same_bits(got, want)
+
+
+@pytest.mark.parametrize("f, cells, got", [
+    (lambda pts: np.ones(len(pts)), (63, 63), (63,)),              # a row per block
+    (lambda pts: np.ones(pts.shape[:-1] + (1,)), (63, 63), (63, 63, 1)),
+    (lambda pts: np.ones(pts.shape[:-1] if pts.ndim == 3 else len(pts) + 1),
+     (3961,), (3962,)),    # the first packed run, slabs 18 and 19: 45^2 + 44^2 cells
+], ids=["rows", "trailing-axis", "packed-run"])
+def test_interpolation_error_refuses_f_of_another_shape(f, cells, got):
+    # refused as the values come back, before an array is sized by them
+    interp = _bump_lattice_interpolant(7)
+    with pytest.raises(ValueError, match=re.escape(
+            f"scalar, shape (), or one value per cell, shape {cells}; got shape {got}")):
+        interpolation_error(f, interp, 64)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(4.0)])
